@@ -68,10 +68,6 @@ def _named_family_payload(family: FunctionFamily, names: list[str]) -> dict:
     return {name: _function_payload(f) for name, f in zip(names, family.members)}
 
 
-def _open_labels(t: Topology, p: Preorder) -> list[list[str]]:
-    return [list(labels_of(p, o)) for o in t.opens]
-
-
 def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
     code = 0 if ok else 1
     if args.json:
@@ -133,11 +129,12 @@ def cmd_topology(args) -> int:
     doc = _load_document(args.file)
     p = instances.document_preorder(doc)
     t = _resolve_topology(args.topology, doc, p)
+    opens = t.opens
     result = {
         "mode": args.topology or (doc.topology.mode if doc.topology else "explicit"),
         "ground_size": t.ground_size,
-        "open_count": len(t.opens),
-        "opens": _open_labels(t, p),
+        "open_count": len(opens),
+        "opens": [list(labels_of(p, o)) for o in opens],
     }
     return _emit(args, True, result)
 

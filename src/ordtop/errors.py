@@ -80,6 +80,14 @@ class GroundMismatchError(OrdtopError):
         self.right = right
 
 
+class NotATopologyError(OrdtopError):
+    """Neighbourhood rows that are not a preorder, or a family that is not a topology."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"not a topology: {reason}")
+        self.reason = reason
+
+
 class EmptySubspaceError(OrdtopError):
     def __init__(self) -> None:
         super().__init__("subspace carrier must be nonempty")

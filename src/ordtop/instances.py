@@ -3,8 +3,8 @@
 A document carries a ground set, relation pairs, an optional topology
 (either a derived mode or an explicit open family), and optional named
 rational functions.  Parsing validates everything it can (relation
-axioms when autoclose is off, topology axioms for explicit opens,
-function totality); serialisation is canonical so that
+axioms when autoclose is off, that an explicit open family is exactly a
+topology, function totality); serialisation is canonical so that
 ``parse(serialize(doc)) == doc``.
 """
 
@@ -167,15 +167,15 @@ def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
             masks.append(mask_of(p, open_labels))
         except err.UnknownLabelError as exc:
             raise err.InstanceValidationError(f"topology.opens[{idx}]", str(exc)) from None
-    t = Topology(p.n, tuple(sorted(set(masks))))
-    if p.full_mask not in t.open_set:
-        raise err.InstanceValidationError("topology.opens", "ground set absent")
-    if 0 not in t.open_set:
-        raise err.InstanceValidationError("topology.opens", "empty set absent")
-    problem = topologies.verify_axioms(t)
-    if problem is not None:
-        raise err.InstanceValidationError("topology.opens", problem)
+    _explicit_topology(p, masks)
     return TopologySpec("explicit", _canonical_opens(p, masks))
+
+
+def _explicit_topology(p: Preorder, masks: list[int]) -> Topology:
+    try:
+        return topologies.from_opens(p.n, masks)
+    except err.NotATopologyError as exc:
+        raise err.InstanceValidationError("topology.opens", exc.reason) from None
 
 
 def _parse_functions(
@@ -267,7 +267,7 @@ def resolve_topology_mode(
     if mode == "explicit":
         if opens is None:
             raise err.InstanceValidationError("topology.opens", "required for explicit mode")
-        return Topology(p.n, tuple(sorted(mask_of(p, o) for o in opens)))
+        return _explicit_topology(p, [mask_of(p, o) for o in opens])
     raise err.InstanceValidationError("topology.mode", f"unknown mode {mode!r}")
 
 

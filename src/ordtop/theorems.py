@@ -8,6 +8,7 @@ never occur; any one of them is a bug certificate.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -294,7 +295,9 @@ def check_topology_coincidence(p: Preorder) -> TheoremReport:
         violations.append(_violation("topology-coincidence", p, detail="upper not within scott"))
     if not is_finer(ta, ts).ok:
         violations.append(_violation("topology-coincidence", p, detail="scott not within alexandrov"))
-    if not (tu.opens == ts.opens == ta.opens):
+    # Equal rows mean equal open families: the Scott family came through the
+    # validating constructor, so its rows describe it exactly.
+    if not (tu.rows == ts.rows == ta.rows):
         violations.append(
             _violation("topology-coincidence", p,
                        detail="generators disagree at finite scale")
@@ -353,13 +356,9 @@ def _set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
         yield [[first]] + part
 
 
-_PARTIAL_ORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _all_partial_order_rows(k: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _all_partial_order_rows(k: int) -> tuple[tuple[int, ...], ...]:
     """All reflexive-transitive-antisymmetric row tuples on k elements."""
-    if k in _PARTIAL_ORDER_CACHE:
-        return _PARTIAL_ORDER_CACHE[k]
     pair_slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
     out: list[tuple[int, ...]] = []
     rows = [1 << i for i in range(k)]
@@ -388,8 +387,7 @@ def _all_partial_order_rows(k: int) -> list[tuple[int, ...]]:
         rows[j] &= ~(1 << i)
 
     assign(0)
-    _PARTIAL_ORDER_CACHE[k] = out
-    return out
+    return tuple(out)
 
 
 def all_preorders(labels: Sequence[str]) -> Iterator[Preorder]:

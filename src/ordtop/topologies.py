@@ -1,9 +1,14 @@
-"""Finite topologies as explicit families of open masks.
+"""Finite topologies, stored as the minimal open neighbourhood of each point.
 
-Opens are stored canonically (duplicate-free, ascending), so family
-equality is tuple equality.  Generation from a subbasis closes the family
-under pairwise union and intersection until a fixpoint, which on a finite
-ground set yields the full topology.
+On a finite ground set every topology is the Alexandrov topology of its
+specialisation preorder: ``rows[x]`` is U_x, the intersection of all opens
+containing x, and a mask is open exactly when it contains U_x for each of
+its points.  So n rows carry the whole topology, equal topologies have
+equal rows, and every operation here works on the rows.  The open family
+is listed only on demand (:attr:`Topology.opens`), by an up-set
+enumeration whose cost grows with the number of opens, never with 2^n.
+An explicit open family enters through :func:`from_opens`, which checks
+that it is exactly a topology.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 from ordtop import kernels
 from ordtop.errors import (
     EmptySubspaceError,
     GroundMismatchError,
+    NotATopologyError,
     OutOfBoundsError,
     TooLargeError,
 )
@@ -26,29 +31,56 @@ from ordtop.preorders import ContourKind, Preorder, contour
 SCOTT_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
+    """A finite topology; ``rows[x]`` is the minimal open neighbourhood of x.
+
+    The rows must form a preorder: x lies in U_x, and y in U_x implies
+    U_y within U_x.  Anything else raises :class:`NotATopologyError`.
+    """
+
     ground_size: int
-    opens: tuple[int, ...]
+    rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != self.ground_size:
+            raise NotATopologyError(
+                f"{len(self.rows)} rows for a {self.ground_size}-element ground set"
+            )
+        full = (1 << self.ground_size) - 1
+        for x, row in enumerate(self.rows):
+            if row & ~full:
+                raise OutOfBoundsError(row, self.ground_size)
+            if not row >> x & 1:
+                raise NotATopologyError(f"point {x} is outside its own neighbourhood {row:#x}")
+        bad = kernels.transitivity_violation(self.rows)
+        if bad is not None:
+            x, y, z = bad
+            raise NotATopologyError(
+                f"point {y} is in the neighbourhood of {x} and {z} in that of {y}, "
+                f"but {z} is not in that of {x}"
+            )
 
     @property
     def full_mask(self) -> int:
         return (1 << self.ground_size) - 1
 
-    @cached_property
-    def open_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
-
-    @cached_property
-    def closed_set(self) -> frozenset[int]:
-        full = self.full_mask
-        return frozenset(full & ~o for o in self.opens)
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """Every open mask, ascending: the up-sets of the rows."""
+        return tuple(kernels.up_sets(list(self.rows)))
 
     def is_open(self, mask: int) -> bool:
-        return mask in self.open_set
-
-    def is_closed_mask(self, mask: int) -> bool:
-        return (self.full_mask & ~mask) in self.open_set
+        if mask & ~self.full_mask:
+            return False
+        rows = self.rows
+        m = mask
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & ~mask:
+                return False
+            m ^= low
+        return True
 
 
 class SubbasisRole(Enum):
@@ -61,29 +93,74 @@ def _check_mask(ground_size: int, mask: int) -> None:
         raise OutOfBoundsError(mask, ground_size)
 
 
+def _meet_into(rows: list[int], s: int) -> None:
+    """Intersect the neighbourhood row of every point of ``s`` with ``s``."""
+    m = s
+    while m:
+        low = m & -m
+        rows[low.bit_length() - 1] &= s
+        m ^= low
+
+
 def discrete(ground_size: int) -> Topology:
-    full = (1 << ground_size) - 1
-    return Topology(ground_size, tuple(range(full + 1)))
+    return Topology(ground_size, tuple(1 << x for x in range(ground_size)))
 
 
 def indiscrete(ground_size: int) -> Topology:
+    return Topology(ground_size, ((1 << ground_size) - 1,) * ground_size)
+
+
+def from_opens(ground_size: int, opens: Iterable[int]) -> Topology:
+    """The topology whose open family is exactly ``opens``.
+
+    U_x is derived as the intersection of the members containing x.  The
+    family is accepted iff it holds the empty set, the ground set, every
+    U_x, and m | U_x for every member m and point x.  Each member is then
+    an up-set of the derived rows, and unions with rows build every up-set
+    from the empty set, so the family is exactly the topology of the rows.
+    Costs O(|opens| * n); raises :class:`NotATopologyError` otherwise.
+    """
+    members = set()
+    for m in opens:
+        _check_mask(ground_size, m)
+        members.add(m)
     full = (1 << ground_size) - 1
-    return Topology(ground_size, (0, full) if full else (0,))
+    if full not in members:
+        raise NotATopologyError("ground set absent")
+    if 0 not in members:
+        raise NotATopologyError("empty set absent")
+    members_sorted = sorted(members)
+    rows = [full] * ground_size
+    for m in members_sorted:
+        _meet_into(rows, m)
+    for x, u in enumerate(rows):
+        if u not in members:
+            raise NotATopologyError(
+                f"intersection {u:#x} of the opens containing point {x} is not open"
+            )
+    for m in members_sorted:
+        for u in rows:
+            if m | u not in members:
+                raise NotATopologyError(f"union of {m:#x} and {u:#x} is not open")
+    return Topology(ground_size, tuple(rows))
 
 
 def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topology:
-    """Smallest topology whose opens (resp. closeds) include the given family."""
+    """Smallest topology whose opens (resp. closeds) include the given family.
+
+    U_x is the intersection of the (complemented, for closed) members that
+    contain x, or the ground set when none does.
+    """
     if ground_size < 1:
         raise ValueError("ground_size must be at least 1")
     full = (1 << ground_size) - 1
-    members = []
+    rows = [full] * ground_size
     for s in sets:
         _check_mask(ground_size, s)
         if role is SubbasisRole.AS_CLOSED_SUBBASIS:
             s = full & ~s
-        members.append(s)
-    opens = kernels.close_family(members, full)
-    return Topology(ground_size, tuple(opens))
+        _meet_into(rows, s)
+    return Topology(ground_size, tuple(rows))
 
 
 def upper_topology(p: Preorder) -> Topology:
@@ -93,8 +170,8 @@ def upper_topology(p: Preorder) -> Topology:
 
 
 def alexandrov_topology(p: Preorder) -> Topology:
-    """Opens are exactly the up-sets."""
-    return Topology(p.n, tuple(kernels.up_sets(list(p.rows))))
+    """Opens are exactly the up-sets: U_x is the up-set of x."""
+    return Topology(p.n, p.rows)
 
 
 def scott_topology(p: Preorder) -> Topology:
@@ -102,12 +179,13 @@ def scott_topology(p: Preorder) -> Topology:
 
     Computed literally from the directed-subset definition (every nonempty
     subset is tested for directedness and for a supremum class), not via
-    any finite-case shortcut, so agreement with the other generators stays
-    a checkable fact.
+    any finite-case shortcut, and the resulting family is validated by
+    :func:`from_opens`, so agreement with the other generators stays a
+    checkable fact.
     """
     if p.n > SCOTT_CAP:
         raise TooLargeError(SCOTT_CAP, p.n)
-    return Topology(p.n, tuple(kernels.scott_opens(list(p.rows))))
+    return from_opens(p.n, kernels.scott_opens(list(p.rows)))
 
 
 def order_topology(p: Preorder) -> Topology:
@@ -124,37 +202,51 @@ class FinerVerdict:
 
 
 def is_finer(t1: Topology, t2: Topology) -> FinerVerdict:
-    """True when every open of ``t2`` is open in ``t1``."""
+    """True when every open of ``t2`` is open in ``t1``, i.e. U1_x within U2_x for all x.
+
+    On failure ``missing_open`` is the first U2_x not containing U1_x: open
+    in ``t2`` and not in ``t1``.
+    """
     if t1.ground_size != t2.ground_size:
         raise GroundMismatchError(t1.ground_size, t2.ground_size)
-    for o in t2.opens:
-        if o not in t1.open_set:
-            return FinerVerdict(False, o)
+    for u1, u2 in zip(t1.rows, t2.rows):
+        if u1 & ~u2:
+            return FinerVerdict(False, u2)
     return FinerVerdict(True)
 
 
 def is_closed(t: Topology, mask: int) -> bool:
-    _check_mask(t.ground_size, mask)
-    return t.is_closed_mask(mask)
+    """The complement is open: no point outside ``mask`` has U_x meeting it."""
+    full = (1 << t.ground_size) - 1
+    if mask & ~full:
+        raise OutOfBoundsError(mask, t.ground_size)
+    rows = t.rows
+    m = full ^ mask
+    while m:
+        low = m & -m
+        if rows[low.bit_length() - 1] & mask:
+            return False
+        m ^= low
+    return True
 
 
 def closure(t: Topology, mask: int) -> int:
-    """Smallest closed superset of ``mask``."""
+    """Smallest closed superset of ``mask``: the points whose U_x meets it."""
     _check_mask(t.ground_size, mask)
-    acc = t.full_mask
-    for c in t.closed_set:
-        if c & mask == mask:
-            acc &= c
+    acc = 0
+    for x, u in enumerate(t.rows):
+        if u & mask:
+            acc |= 1 << x
     return acc
 
 
 def interior(t: Topology, mask: int) -> int:
-    """Largest open subset of ``mask``."""
+    """Largest open subset of ``mask``: the points whose U_x lies inside it."""
     _check_mask(t.ground_size, mask)
     acc = 0
-    for o in t.opens:
-        if o & mask == o:
-            acc |= o
+    for x, u in enumerate(t.rows):
+        if not u & ~mask:
+            acc |= 1 << x
     return acc
 
 
@@ -166,51 +258,25 @@ def subspace(t: Topology, mask: int) -> Topology:
     kept = []
     m = mask
     while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        kept.append(i)
-    position = {i: pos for pos, i in enumerate(kept)}
-    opens = set()
-    for o in t.opens:
-        trace = o & mask
+        low = m & -m
+        kept.append(low.bit_length() - 1)
+        m ^= low
+    rows = []
+    for i in kept:
+        trace = t.rows[i]
         compact = 0
-        while trace:
-            i = (trace & -trace).bit_length() - 1
-            trace &= trace - 1
-            compact |= 1 << position[i]
-        opens.add(compact)
-    result = Topology(len(kept), tuple(sorted(opens)))
-    problem = verify_axioms(result)
-    if problem is not None:  # cannot happen for a trace of a topology
-        raise AssertionError(f"subspace produced a non-topology: {problem}")
-    return result
+        for pos, j in enumerate(kept):
+            if trace >> j & 1:
+                compact |= 1 << pos
+        rows.append(compact)
+    return Topology(len(kept), tuple(rows))
 
 
 def random_topology_between(lower: Topology, seed: int, extra_sets: int) -> Topology:
     """Seeded topology refining ``lower`` by ``extra_sets`` random subsets."""
     rng = random.Random(seed)
     full = lower.full_mask
-    members = list(lower.opens)
+    rows = list(lower.rows)
     for _ in range(extra_sets):
-        members.append(rng.randrange(full + 1))
-    return Topology(lower.ground_size, tuple(kernels.close_family(members, full)))
-
-
-def verify_axioms(t: Topology) -> str | None:
-    """None when ``t`` satisfies the finite topology axioms, else a description."""
-    opens = t.open_set
-    if len(t.opens) != len(opens) or tuple(sorted(opens)) != t.opens:
-        return "opens are not canonically sorted and duplicate-free"
-    if 0 not in opens:
-        return "empty set is not open"
-    if t.full_mask not in opens:
-        return "ground set is not open"
-    for a in t.opens:
-        if a & ~t.full_mask:
-            return f"open {a:#x} exceeds the ground set"
-        for b in t.opens:
-            if a | b not in opens:
-                return f"union of {a:#x} and {b:#x} is not open"
-            if a & b not in opens:
-                return f"intersection of {a:#x} and {b:#x} is not open"
-    return None
+        _meet_into(rows, rng.randrange(full + 1))
+    return Topology(lower.ground_size, tuple(rows))

@@ -14,6 +14,7 @@ from ordtop.instances import (
     export_dot,
     make_document,
     parse_instance,
+    resolve_topology_mode,
     serialize_instance,
 )
 from tests.conftest import FIXTURES, fixture_text
@@ -94,6 +95,18 @@ def test_axioms_of_explicit_topology_reverified():
     with pytest.raises(InstanceValidationError) as exc:
         parse_instance(text)
     assert exc.value.path == "topology.opens"  # {a} | {b} missing
+
+
+def test_explicit_mode_validates_the_family():
+    p = ot.build_preorder(("a", "b", "c"))
+    with pytest.raises(InstanceValidationError) as exc:
+        resolve_topology_mode("explicit", p, ((), ("a",), ("b",), ("a", "b", "c")))
+    assert exc.value.path == "topology.opens"
+    with pytest.raises(InstanceValidationError) as exc:
+        resolve_topology_mode("explicit", p, (("a",), ("a", "b", "c")))
+    assert exc.value.reason == "empty set absent"
+    t = resolve_topology_mode("explicit", p, ((), ("a",), ("a", "b", "c")))
+    assert t == ot.generate(3, [0b001], ot.SubbasisRole.AS_OPEN_SUBBASIS)
 
 
 def test_syntax_error_carries_line():

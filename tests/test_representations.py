@@ -135,13 +135,14 @@ def test_semicontinuity_matches_continuity_into_image_chain():
             [(str(a), str(b)) for a, b in zip(image, image[1:])],
         )
         tu = ot.upper_topology(chain)
+        t_opens = set(t.opens)
         continuous = True
         for o in tu.opens:
             preimage = 0
             for i, v in enumerate(f.values):
                 if o >> image.index(v) & 1:
                     preimage |= 1 << i
-            if preimage not in t.open_set:
+            if preimage not in t_opens:
                 continuous = False
                 break
         assert ot.semicontinuity(f, t, Sense.LOWER).ok == continuous

@@ -1,4 +1,8 @@
-"""Topology generation, the four derived topologies, and the operators."""
+"""Topology generation, the four derived topologies, and the operators.
+
+The operators work on minimal-neighbourhood rows; ``brute_family_closure``
+is the independent oracle they are checked against on small ground sets.
+"""
 
 import random
 
@@ -8,11 +12,27 @@ import ordtop as ot
 from ordtop.errors import (
     EmptySubspaceError,
     GroundMismatchError,
+    NotATopologyError,
+    OrdtopError,
     OutOfBoundsError,
     TooLargeError,
 )
 from ordtop.theorems import all_preorders, default_labels
-from ordtop.topologies import SubbasisRole, Topology, verify_axioms
+from ordtop.topologies import SubbasisRole, Topology
+
+
+def brute_family_closure(members, ground):
+    """Fixpoint of pairwise union and intersection over the family plus 0 and ground."""
+    fam = set(members) | {0, ground}
+    while True:
+        new = set()
+        for a in fam:
+            for b in fam:
+                new.add(a | b)
+                new.add(a & b)
+        if new <= fam:
+            return sorted(fam)
+        fam |= new
 
 
 def brute_verify_topology(t: Topology) -> None:
@@ -200,8 +220,163 @@ def test_random_topology_between_examples(chain3):
     assert t == ot.random_topology_between(tu, 1, 2)  # deterministic
 
 
-def test_verify_axioms_rejects_broken_families():
-    assert verify_axioms(Topology(2, (0, 0b11))) is None
-    assert verify_axioms(Topology(2, (0b01, 0b11))) is not None  # missing empty set
-    assert verify_axioms(Topology(2, (0, 0b01, 0b10, 0b11))) is None
-    assert verify_axioms(Topology(2, (0, 0b01, 0b10))) is not None  # missing ground
+def test_from_opens_rejects_broken_families():
+    assert ot.from_opens(2, (0, 0b11)) == ot.indiscrete(2)
+    with pytest.raises(NotATopologyError, match="empty set absent"):
+        ot.from_opens(2, (0b01, 0b11))
+    assert ot.from_opens(2, (0, 0b01, 0b10, 0b11)) == ot.discrete(2)
+    with pytest.raises(NotATopologyError, match="ground set absent"):
+        ot.from_opens(2, (0, 0b01, 0b10))
+    with pytest.raises(NotATopologyError):  # {a} | {b} missing
+        ot.from_opens(3, (0, 0b001, 0b010, 0b111))
+    with pytest.raises(NotATopologyError):  # {a, b} & {b, c} missing
+        ot.from_opens(3, (0, 0b011, 0b110, 0b111))
+    with pytest.raises(OutOfBoundsError):
+        ot.from_opens(2, (0, 0b11, 0b100))
+
+
+def test_rows_must_form_a_preorder():
+    with pytest.raises(OrdtopError):
+        Topology(2, (0b10, 0b11))  # point 0 outside its own neighbourhood
+    with pytest.raises(NotATopologyError):
+        Topology(3, (0b011, 0b110, 0b100))  # 1 in U_0 but U_1 not within U_0
+    with pytest.raises(NotATopologyError):
+        Topology(2, (0b11,))
+    with pytest.raises(OutOfBoundsError):
+        Topology(2, (0b101, 0b10))
+    assert Topology(3, (0b011, 0b010, 0b111)).opens == (0, 0b010, 0b011, 0b111)
+
+
+# --- differential checks against the closure oracle ---------------------------
+
+
+def random_family(rng, ground):
+    return [rng.randrange(ground + 1) for _ in range(rng.randint(0, 5))]
+
+
+def test_generate_matches_brute_closure():
+    rng = random.Random(11)
+    for _ in range(120):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        sets = random_family(rng, ground)
+        t = ot.generate(g, sets, SubbasisRole.AS_OPEN_SUBBASIS)
+        assert list(t.opens) == brute_family_closure(sets, ground)
+        t = ot.generate(g, sets, SubbasisRole.AS_CLOSED_SUBBASIS)
+        assert list(t.opens) == brute_family_closure([ground & ~s for s in sets], ground)
+
+
+def test_random_topology_between_matches_brute_closure():
+    rng = random.Random(12)
+    for _ in range(80):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        lower = ot.generate(g, random_family(rng, ground), SubbasisRole.AS_OPEN_SUBBASIS)
+        seed, extra = rng.randrange(1 << 30), rng.randint(0, 4)
+        draws = random.Random(seed)
+        members = list(lower.opens) + [draws.randrange(ground + 1) for _ in range(extra)]
+        t = ot.random_topology_between(lower, seed, extra)
+        assert list(t.opens) == brute_family_closure(members, ground)
+
+
+def test_subspace_matches_brute_traces():
+    rng = random.Random(14)
+    for _ in range(80):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        t = ot.generate(g, random_family(rng, ground), SubbasisRole.AS_OPEN_SUBBASIS)
+        mask = rng.randrange(1, ground + 1)
+        kept = [i for i in range(g) if mask >> i & 1]
+        traces = set()
+        for o in brute_family_closure(t.opens, ground):
+            traces.add(sum(1 << pos for pos, i in enumerate(kept) if o >> i & 1))
+        assert list(ot.subspace(t, mask).opens) == sorted(traces)
+
+
+def test_closure_and_interior_match_definitions():
+    rng = random.Random(15)
+    for _ in range(60):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        sets = random_family(rng, ground)
+        t = ot.generate(g, sets, SubbasisRole.AS_OPEN_SUBBASIS)
+        opens = brute_family_closure(sets, ground)
+        closeds = [ground & ~o for o in opens]
+        for mask in range(ground + 1):
+            smallest_closed = ground
+            for c in closeds:
+                if c & mask == mask:
+                    smallest_closed &= c
+            largest_open = 0
+            for o in opens:
+                if o & mask == o:
+                    largest_open |= o
+            assert ot.closure(t, mask) == smallest_closed
+            assert ot.interior(t, mask) == largest_open
+            assert ot.is_closed(t, mask) == (mask in closeds)
+            assert t.is_open(mask) == (mask in opens)
+
+
+def test_is_finer_matches_family_containment():
+    rng = random.Random(16)
+    for _ in range(150):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        t1 = ot.generate(g, random_family(rng, ground), SubbasisRole.AS_OPEN_SUBBASIS)
+        t2 = ot.generate(g, random_family(rng, ground), SubbasisRole.AS_OPEN_SUBBASIS)
+        opens1, opens2 = set(t1.opens), set(t2.opens)
+        verdict = ot.is_finer(t1, t2)
+        assert verdict.ok == (opens2 <= opens1)
+        if not verdict.ok:
+            assert verdict.missing_open in opens2 - opens1
+
+
+def test_from_opens_accepts_exactly_closed_families():
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(300):
+        g = rng.randint(1, 6)
+        ground = (1 << g) - 1
+        family = set(brute_family_closure(random_family(rng, ground), ground))
+        edit = rng.random()
+        if edit < 0.3:
+            family.discard(rng.choice(sorted(family)))
+        elif edit < 0.6:
+            family.add(rng.randrange(ground + 1))
+        is_topology = sorted(family) == brute_family_closure(family, ground)
+        try:
+            t = ot.from_opens(g, family)
+        except NotATopologyError:
+            assert not is_topology
+            rejected += 1
+        else:
+            assert is_topology and list(t.opens) == sorted(family)
+            accepted += 1
+    assert accepted > 50 and rejected > 50
+
+
+# --- large ground sets: everything goes through the rows ----------------------
+
+
+def test_large_ground_operations_never_list_subsets():
+    n = 40
+    full = (1 << n) - 1
+    d = ot.discrete(n)
+    i = ot.indiscrete(n)
+    assert d.rows == tuple(1 << x for x in range(n))
+    assert i.opens == (0, full)
+    labels = tuple(f"e{k:02d}" for k in range(n))
+    chain = ot.build_preorder(labels, list(zip(labels, labels[1:])))
+    ta = ot.alexandrov_topology(chain)
+    tu = ot.upper_topology(chain)
+    assert ta == tu
+    assert ta.opens == tuple(full & ~((1 << k) - 1) for k in range(n, -1, -1))
+    assert len(tu.opens) == 41
+    assert ot.is_finer(d, ta).ok and ot.is_finer(ta, i).ok
+    assert not ot.is_finer(i, ta).ok and not ot.is_finer(ta, d).ok
+    evens = sum(1 << k for k in range(0, n, 2))
+    trace = ot.subspace(ta, evens)
+    assert trace == ot.alexandrov_topology(ot.restrict(chain, evens))
+    assert len(trace.opens) == 21
+    assert ot.subspace(d, evens) == ot.discrete(20)
+    assert ot.closure(ta, 1 << 39) == full and ot.interior(ta, full >> 1) == 0
