@@ -269,6 +269,19 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordtop",
@@ -305,13 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("theorems", cmd_theorems, "run the exhaustive theorem suite")
     sp.add_argument("--all", action="store_true", help="run every checker (default)")
-    sp.add_argument("--max-size", type=int, default=4)
+    sp.add_argument("--max-size", type=_int_at_least(1), default=4)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("mine", cmd_mine, "mine seeded random instances for violations")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--max-size", type=int, default=6)
+    sp.add_argument("--trials", type=_int_at_least(1), default=100)
+    sp.add_argument("--max-size", type=_int_at_least(2), default=6)
 
     sp = add("export", cmd_export, "export the quotient Hasse diagram as DOT")
     sp.add_argument("file")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from ordtop import kernels
@@ -57,6 +56,30 @@ class SetDirection(Enum):
     DOWN = "down"
 
 
+class _lazy:
+    """Compute an attribute on first access and store it in the instance dict.
+
+    A non-data descriptor, so later reads find the stored value without
+    calling back into Python; unlike ``functools.cached_property`` on
+    Python 3.11, no lock is taken: two threads racing on a first access
+    both compute the same value from immutable fields, and either store is
+    correct.  The stored value is not a dataclass field, so equality and
+    hashing still see only the fields.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        obj.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class Preorder:
     """Immutable finite preorder; construct via :func:`build_preorder`."""
@@ -72,11 +95,11 @@ class Preorder:
     def full_mask(self) -> int:
         return (1 << len(self.elements)) - 1
 
-    @cached_property
+    @_lazy
     def _index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.elements)}
 
-    @cached_property
+    @_lazy
     def cols(self) -> tuple[int, ...]:
         """cols[j] = mask of {i : element i <= element j}."""
         cols = [0] * self.n

@@ -1,13 +1,19 @@
 """Utility functions, multi-utility families, and semicontinuity checks.
 
 Values are exact rationals throughout; the strict inequalities in the
-Richter-Peleg checks never touch floating point.  A ValueFunction is
-aligned with the element order of the preorder it describes, which also
-pins it to a topology on the same ground set.
+Richter-Peleg checks never touch floating point.  Inside the checkers a
+function is compared through integer keys, each value's numerator over
+the common denominator of that function's values: every comparison is
+between two values of one function, so the keys order exactly as the
+rationals do.  A ValueFunction is aligned with the element order of the
+preorder it describes, which also pins it to a topology on the same
+ground set.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -104,18 +110,50 @@ def _require_same_domain(f: ValueFunction, p: Preorder) -> None:
         raise DomainMismatchError("function is not aligned with the preorder's elements")
 
 
+def _integer_keys(values: tuple[Fraction, ...]) -> list[int]:
+    """Each value's numerator over the common denominator of ``values``."""
+    denominator = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values]
+
+
+def _level_sets(f: ValueFunction) -> tuple[list[int], list[int]]:
+    """Per position i, the masks {j : f(j) <= f(i)} and {j : f(j) >= f(i)}."""
+    keys = _integer_keys(f.values)
+    n = len(keys)
+    full = (1 << n) - 1
+    below = [0] * n
+    above = [0] * n
+    smaller = 0  # positions whose key is below the current group's
+    order = sorted(range(n), key=keys.__getitem__)
+    for _, group in itertools.groupby(order, key=keys.__getitem__):
+        tied = list(group)
+        mask = 0
+        for i in tied:
+            mask |= 1 << i
+        for i in tied:
+            below[i] = smaller | mask
+            above[i] = full ^ smaller
+        smaller |= mask
+    return below, above
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def monotonicity(f: ValueFunction, p: Preorder) -> MonotonicityVerdict:
     """Isotonicity (x <= y implies f(x) <= f(y)) and order preservation."""
     _require_same_domain(f, p)
-    n = p.n
-    for i in range(n):
-        for j in range(n):
-            if p.leq_idx(i, j) and f.values[i] > f.values[j]:
-                return MonotonicityVerdict(False, False, (p.elements[i], p.elements[j]))
-    for i in range(n):
-        for j in range(n):
-            if p.leq_idx(i, j) and not p.leq_idx(j, i) and f.values[i] >= f.values[j]:
-                return MonotonicityVerdict(True, False, (p.elements[i], p.elements[j]))
+    below, above = _level_sets(f)
+    rows, cols = p.rows, p.cols
+    for i in range(p.n):
+        bad = rows[i] & ~above[i]  # i <= j yet f(i) > f(j)
+        if bad:
+            return MonotonicityVerdict(False, False, (p.elements[i], p.elements[_lowest(bad)]))
+    for i in range(p.n):
+        bad = rows[i] & ~cols[i] & below[i]  # i < j yet f(i) >= f(j)
+        if bad:
+            return MonotonicityVerdict(True, False, (p.elements[i], p.elements[_lowest(bad)]))
     return MonotonicityVerdict(True, True)
 
 
@@ -126,33 +164,40 @@ def _require_family(family: FunctionFamily, p: Preorder) -> None:
         _require_same_domain(f, p)
 
 
+def _multiutility_verdict(
+    levels: list[tuple[list[int], list[int]]], p: Preorder
+) -> RepVerdict:
+    """The multi-utility check on the members' level sets (see :func:`_level_sets`).
+
+    The witness is the first pair (i, j), in row-major order, where i <= j
+    and "every member weakly increases" disagree.
+    """
+    for i in range(p.n):
+        all_le = p.full_mask
+        for _, above in levels:
+            all_le &= above[i]
+        diff = p.rows[i] ^ all_le
+        if not diff:
+            continue
+        j = _lowest(diff)
+        if p.rows[i] >> j & 1:
+            member = next(k for k, (_, above) in enumerate(levels) if not above[i] >> j & 1)
+            return RepVerdict(
+                False,
+                RepWitness(p.elements[i], p.elements[j], member,
+                           WitnessKind.ORDER_VIOLATED),
+            )
+        return RepVerdict(
+            False,
+            RepWitness(p.elements[i], p.elements[j], None, WitnessKind.NOT_SEPARATED),
+        )
+    return RepVerdict(True)
+
+
 def is_multiutility(family: FunctionFamily, p: Preorder) -> RepVerdict:
     """x <= y iff every member weakly increases from x to y, over all pairs."""
     _require_family(family, p)
-    n = p.n
-    for i in range(n):
-        for j in range(n):
-            all_le = True
-            bad_member = None
-            for k, f in enumerate(family.members):
-                if f.values[i] > f.values[j]:
-                    all_le = False
-                    bad_member = k
-                    break
-            if p.leq_idx(i, j):
-                if not all_le:
-                    return RepVerdict(
-                        False,
-                        RepWitness(p.elements[i], p.elements[j], bad_member,
-                                   WitnessKind.ORDER_VIOLATED),
-                    )
-            elif all_le:
-                return RepVerdict(
-                    False,
-                    RepWitness(p.elements[i], p.elements[j], None,
-                               WitnessKind.NOT_SEPARATED),
-                )
-    return RepVerdict(True)
+    return _multiutility_verdict([_level_sets(f) for f in family.members], p)
 
 
 def is_richter_peleg_multiutility(family: FunctionFamily, p: Preorder) -> RepVerdict:
@@ -161,29 +206,33 @@ def is_richter_peleg_multiutility(family: FunctionFamily, p: Preorder) -> RepVer
     Also re-checks the derived strict-part equivalence (x strictly below y
     iff every member strictly increases), which such a family must satisfy.
     """
-    base = is_multiutility(family, p)
+    _require_family(family, p)
+    levels = [_level_sets(f) for f in family.members]
+    base = _multiutility_verdict(levels, p)
     if not base.ok:
         return base
     n = p.n
-    for k, f in enumerate(family.members):
+    strict = [p.rows[i] & ~p.cols[i] for i in range(n)]
+    for k, (below, _) in enumerate(levels):
         for i in range(n):
-            for j in range(n):
-                if p.leq_idx(i, j) and not p.leq_idx(j, i) and f.values[i] >= f.values[j]:
-                    return RepVerdict(
-                        False,
-                        RepWitness(p.elements[i], p.elements[j], k,
-                                   WitnessKind.STRICTNESS_VIOLATED),
-                    )
-    for i in range(n):
-        for j in range(n):
-            strict = p.leq_idx(i, j) and not p.leq_idx(j, i)
-            all_lt = all(f.values[i] < f.values[j] for f in family.members)
-            if strict != all_lt:
+            bad = strict[i] & below[i]  # i < j yet f(i) >= f(j)
+            if bad:
                 return RepVerdict(
                     False,
-                    RepWitness(p.elements[i], p.elements[j], None,
+                    RepWitness(p.elements[i], p.elements[_lowest(bad)], k,
                                WitnessKind.STRICTNESS_VIOLATED),
                 )
+    for i in range(n):
+        all_lt = p.full_mask
+        for below, _ in levels:
+            all_lt &= ~below[i]
+        diff = strict[i] ^ all_lt
+        if diff:
+            return RepVerdict(
+                False,
+                RepWitness(p.elements[i], p.elements[_lowest(diff)], None,
+                           WitnessKind.STRICTNESS_VIOLATED),
+            )
     return RepVerdict(True)
 
 
@@ -204,18 +253,10 @@ def semicontinuity(f: ValueFunction, t: Topology, sense: Sense) -> ScVerdict:
         raise DomainMismatchError(
             f"{len(f.elements)} elements vs ground size {t.ground_size}"
         )
-    n = t.ground_size
+    below, above = _level_sets(f)
     senses = (Sense.LOWER, Sense.UPPER) if sense is Sense.BOTH else (sense,)
     for s in senses:
-        for x in range(n):
-            level = 0
-            for y in range(n):
-                if s is Sense.LOWER:
-                    if f.values[y] <= f.values[x]:
-                        level |= 1 << y
-                else:
-                    if f.values[y] >= f.values[x]:
-                        level |= 1 << y
+        for x, level in enumerate(below if s is Sense.LOWER else above):
             if not is_closed(t, level):
                 return ScVerdict(False, f.elements[x], level)
     return ScVerdict(True)
@@ -234,11 +275,10 @@ def preorder_semicontinuity(p: Preorder, t: Topology, sense: Sense) -> PreorderS
         raise GroundMismatchError(p.n, t.ground_size)
     if sense is Sense.BOTH:
         raise ValueError("preorder semicontinuity is checked one sense at a time")
-    kind = ContourKind.WEAK_LOWER if sense is Sense.LOWER else ContourKind.WEAK_UPPER
-    for a in p.elements:
-        c = contour(p, a, kind)
+    # The weak lower contour of element i is p.cols[i]; the weak upper one is p.rows[i].
+    for i, c in enumerate(p.cols if sense is Sense.LOWER else p.rows):
         if not is_closed(t, c):
-            return PreorderScVerdict(False, a, c)
+            return PreorderScVerdict(False, p.elements[i], c)
     return PreorderScVerdict(True)
 
 
@@ -346,13 +386,13 @@ def construct_finite_lsc_rp_multiutility(p: Preorder, t: Topology) -> LscRpResul
     sc = preorder_semicontinuity(p, t, Sense.LOWER)
     if not sc.ok:
         return LscRpResult(obstruction=sc.witness, obstruction_contour=sc.contour)
-    f = construct_rp_utility(p)
-    scale = max(f.values) + 1
+    f = [int(v) for v in construct_rp_utility(p).values]
+    scale = max(f) + 1
     members = []
     for i in range(p.n):
+        below = p.cols[i]
         values = tuple(
-            f.values[j] + (Fraction(0) if p.leq_idx(j, i) else scale)
-            for j in range(p.n)
+            Fraction(f[j] if below >> j & 1 else f[j] + scale) for j in range(p.n)
         )
         members.append(ValueFunction(p.elements, values))
     return LscRpResult(family=FunctionFamily(tuple(members)))

@@ -13,7 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ordtop import instances
 from ordtop.errors import (
@@ -146,7 +146,14 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     before the refinement conclusion is asserted; an obstruction makes the
     instance a vacuous pass (after confirming the obstruction itself).
     """
-    started = time.perf_counter()
+    return _scott_necessity(p, t, None, time.perf_counter())
+
+
+def _scott_necessity(
+    p: Preorder, t: Topology, scott: Topology | None, started: float
+) -> TheoremReport:
+    """Core of :func:`check_scott_necessity`; ``scott`` is ``scott_topology(p)``
+    when the caller already has it, else it is computed here when needed."""
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     result = construct_finite_lsc_rp_multiutility(p, t)
@@ -176,7 +183,7 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
                 _violation("scott-necessity", p, t,
                            detail=f"member {k} is not lower semicontinuous at {sc.at!r}")
             )
-    fin = is_finer(t, scott_topology(p))
+    fin = is_finer(t, scott_topology(p) if scott is None else scott)
     if not fin.ok:
         violations.append(
             _violation(
@@ -214,7 +221,24 @@ def check_linear_extensions_lsc(
     p: Preorder, t: Topology, samples: int, seed: int
 ) -> TheoremReport:
     """Above the Alexandrov topology every linear extension is lower semicontinuous."""
-    started = time.perf_counter()
+    return _linear_extensions_lsc(p, t, samples, seed, None, time.perf_counter())
+
+
+def _linear_extensions_lsc(
+    p: Preorder,
+    t: Topology,
+    samples: int,
+    seed: int,
+    extensions: Sequence[Preorder] | None,
+    started: float,
+) -> TheoremReport:
+    """Core of :func:`check_linear_extensions_lsc`.
+
+    ``extensions`` is a prefix of ``enumerate_linear_extensions(p, limit)``
+    for some limit above ``samples`` when the caller already has one, else
+    the extensions are enumerated here.  The enumeration is deterministic,
+    so both routes see the same list.
+    """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     fin = is_finer(t, alexandrov_topology(p))
@@ -222,7 +246,11 @@ def check_linear_extensions_lsc(
         raise PremiseFailedError(
             "topology is not finer than the Alexandrov topology", fin.missing_open
         )
-    exts = enumerate_linear_extensions(p, max(samples, 1) + 1)
+    wanted = max(samples, 1) + 1
+    if extensions is None:
+        exts = enumerate_linear_extensions(p, wanted)
+    else:
+        exts = extensions[:wanted]
     if len(exts) > samples:
         exts = [szpilrajn_extension(p, (), seed=seed * 8191 + i) for i in range(samples)]
     violations = []
@@ -249,7 +277,33 @@ def check_chain_restriction(
     instances are capped at 8 elements because the premise is checked
     against every linear extension.
     """
-    started = time.perf_counter()
+
+    def premise() -> bool:
+        return _all_extensions_lsc(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT), t)
+
+    return _chain_restriction(p, t, chain, x, premise, time.perf_counter())
+
+
+def _all_extensions_lsc(extensions: Sequence[Preorder], t: Topology) -> bool:
+    """The chain-restriction premise: every given linear extension is lsc in ``t``."""
+    return all(preorder_semicontinuity(e, t, Sense.LOWER).ok for e in extensions)
+
+
+def _chain_restriction(
+    p: Preorder,
+    t: Topology,
+    chain: int,
+    x: str,
+    premise: Callable[[], bool],
+    started: float,
+) -> TheoremReport:
+    """Core of :func:`check_chain_restriction`.
+
+    ``premise()`` decides whether every linear extension of ``p`` is lsc
+    in ``t``; it is called only after the instance has been validated, so
+    a caller may compute it lazily and share it between the chains of one
+    (p, t).
+    """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     if p.n > CHAIN_RESTRICTION_CAP:
@@ -257,19 +311,27 @@ def check_chain_restriction(
     if not chain:
         raise PremiseFailedError("chain is empty")
     chain_elems = labels_of(p, chain)
-    for a in chain_elems:
-        for b in chain_elems:
-            if not p.leq(a, b) and not p.leq(b, a):
-                raise PremiseFailedError("chain is not totally ordered", (a, b))
+    rows, cols = p.rows, p.cols
+    m = chain
+    while m:
+        a = (m & -m).bit_length() - 1
+        m &= m - 1
+        loose = chain & ~(rows[a] | cols[a])
+        if loose:
+            b = (loose & -loose).bit_length() - 1
+            raise PremiseFailedError(
+                "chain is not totally ordered", (p.elements[a], p.elements[b])
+            )
     xi = p.index(x)
     if chain >> xi & 1:
         raise PremiseFailedError(f"{x!r} lies inside the chain")
-    for c in chain_elems:
-        if p.leq(x, c) or p.leq(c, x):
-            raise PremiseFailedError(f"{x!r} is comparable to a chain element", (x, c))
-    exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT)
-    premise = all(preorder_semicontinuity(e, t, Sense.LOWER).ok for e in exts)
-    if not premise:
+    touching = chain & (rows[xi] | cols[xi])
+    if touching:
+        c = (touching & -touching).bit_length() - 1
+        raise PremiseFailedError(
+            f"{x!r} is comparable to a chain element", (x, p.elements[c])
+        )
+    if not premise():
         return _report("chain-restriction", 1, 0, [], started)
     fin = is_finer(subspace(t, chain), alexandrov_topology(restrict(p, chain)))
     violations = []
@@ -287,8 +349,12 @@ def check_chain_restriction(
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
+    return _topology_coincidence(p, scott_topology(p), started)
+
+
+def _topology_coincidence(p: Preorder, ts: Topology, started: float) -> TheoremReport:
+    """Core of :func:`check_topology_coincidence`; ``ts`` is ``scott_topology(p)``."""
     tu = upper_topology(p)
-    ts = scott_topology(p)
     ta = alexandrov_topology(p)
     violations = []
     if not is_finer(ts, tu).ok:
@@ -578,7 +644,17 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     ones, the two trivial ones, and seeded refinements) and run through
     every checker; chain-restriction instances enumerate every chain plus
     incomparable outsider.
+
+    The checks are those of the public ``check_*`` functions (the same
+    cores run), but work that depends only on p, or on (p, t), is done
+    once and its time is charged to one theorem that uses it: the Scott
+    topology of p to topology-coincidence, the linear extensions of p to
+    linear-extensions-lsc, and the chain-restriction premise of each
+    distinct t (every linear extension lsc in t) to the first
+    chain-restriction instance of that (p, t).
     """
+    if max_size > CHAIN_RESTRICTION_CAP:
+        raise TooLargeError(CHAIN_RESTRICTION_CAP, max_size, what="largest suite instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
     for n in range(1, max_size + 1):
         labels = default_labels(n)
@@ -594,21 +670,35 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            tallies["topology-coincidence"].add(check_topology_coincidence(p))
+            started = time.perf_counter()
+            ts = scott_topology(p)
+            tallies["topology-coincidence"].add(_topology_coincidence(p, ts, started))
             for t in sample_ts:
                 tallies["lsc-iff-upper"].add(check_lsc_iff_upper(p, t))
-                tallies["scott-necessity"].add(check_scott_necessity(p, t))
+                tallies["scott-necessity"].add(
+                    _scott_necessity(p, t, ts, time.perf_counter())
+                )
             tallies["alexandrov-antitone"].add(
                 check_alexandrov_antitone(p, random_refinement(rng, p))
             )
+            started = time.perf_counter()  # the first call pays for the enumeration
+            exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT)
             for t in (ta, random_topology_between(ta, rng.randrange(1 << 30), 2)):
                 tallies["linear-extensions-lsc"].add(
-                    check_linear_extensions_lsc(p, t, samples=4, seed=rng.randrange(1 << 30))
+                    _linear_extensions_lsc(p, t, 4, rng.randrange(1 << 30), exts, started)
                 )
+                started = time.perf_counter()
+            # Equal topologies share one premise (at finite scale tu == ta).
+            premises = {
+                t: functools.cache(functools.partial(_all_extensions_lsc, exts, t))
+                for t in sample_ts
+            }
             for chain, x in _chain_outsider_pairs(p):
                 for t in sample_ts:
                     tallies["chain-restriction"].add(
-                        check_chain_restriction(p, t, chain, x)
+                        _chain_restriction(
+                            p, t, chain, x, premises[t], time.perf_counter()
+                        )
                     )
     return _finish(tallies)
 

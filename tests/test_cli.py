@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from ordtop import theorems
 from ordtop.cli import main
 from tests.conftest import FIXTURES
 
@@ -140,3 +143,36 @@ def test_text_output_mode(capsys):
     code, out = run_cli(capsys, "check-lsc", fx("chain3.json"), "--topology", "indiscrete")
     assert code == 1
     assert "witness instance" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorems", "--max-size", "0"),
+        ("theorems", "--max-size", "-3"),
+        ("mine", "--trials", "-5"),
+        ("mine", "--trials", "0"),
+        ("mine", "--max-size", "0"),
+        ("mine", "--max-size", "1"),
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(monkeypatch, capsys, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_theorem_suite", "mine", "all_preorders"):
+        monkeypatch.setattr(theorems, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_theorems_size_above_cap_is_refused(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(theorems, "all_preorders", fail)
+    code, payload = run_json(capsys, "theorems", "--max-size", "9")
+    assert code == 2 and payload["exit_code"] == 2 and not payload["ok"]
+    assert "capped at 8" in payload["error"]

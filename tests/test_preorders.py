@@ -338,3 +338,13 @@ def test_rank_utility_examples(chain3, vee):
     with pytest.raises(NotTotalError) as exc:
         ot.rank_utility(vee)
     assert set(exc.value.pair) == {"a", "b"}
+
+
+def test_lazy_columns_and_index_leave_equality_alone(vee):
+    fresh = ot.Preorder(vee.elements, vee.rows)
+    assert vee.cols == (0b001, 0b010, 0b111)
+    assert vee.index("c") == 2
+    assert vee.cols is vee.cols  # computed once, then read from the instance
+    assert vee == fresh and hash(vee) == hash(fresh)
+    assert "cols" not in vars(fresh)
+    assert fresh.cols == vee.cols and vee == fresh

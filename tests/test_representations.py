@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ordtop as ot
 from ordtop.errors import (
@@ -12,7 +14,16 @@ from ordtop.errors import (
     NotLscPreorderError,
 )
 from ordtop.instances import parse_instance, document_family, document_preorder
-from ordtop.representations import Sense, ValueFunction, WitnessKind
+from ordtop.representations import (
+    FunctionFamily,
+    MonotonicityVerdict,
+    RepVerdict,
+    RepWitness,
+    ScVerdict,
+    Sense,
+    ValueFunction,
+    WitnessKind,
+)
 from ordtop.theorems import default_labels, random_preorder
 from tests.conftest import fixture_text
 
@@ -286,3 +297,136 @@ def test_constructed_families_satisfy_biconditional_everywhere():
                 for j in range(p.n):
                     family_le = all(f.values[i] <= f.values[j] for f in fam.members)
                     assert family_le == p.leq_idx(i, j)
+
+
+# --- integer keys against a Fraction oracle -------------------------------------
+#
+# The checkers compare integer keys (numerators over one function's common
+# denominator).  The oracles below compare the Fraction values directly, pair
+# by pair, in the order that fixes which witness is reported.
+
+
+def oracle_monotonicity(f, p):
+    n = p.n
+    for i in range(n):
+        for j in range(n):
+            if p.leq_idx(i, j) and f.values[i] > f.values[j]:
+                return MonotonicityVerdict(False, False, (p.elements[i], p.elements[j]))
+    for i in range(n):
+        for j in range(n):
+            if p.leq_idx(i, j) and not p.leq_idx(j, i) and f.values[i] >= f.values[j]:
+                return MonotonicityVerdict(True, False, (p.elements[i], p.elements[j]))
+    return MonotonicityVerdict(True, True)
+
+
+def oracle_multiutility(family, p):
+    n = p.n
+    for i in range(n):
+        for j in range(n):
+            bad = [k for k, f in enumerate(family.members) if f.values[i] > f.values[j]]
+            if p.leq_idx(i, j) and bad:
+                return RepVerdict(False, RepWitness(p.elements[i], p.elements[j], bad[0],
+                                                    WitnessKind.ORDER_VIOLATED))
+            if not p.leq_idx(i, j) and not bad:
+                return RepVerdict(False, RepWitness(p.elements[i], p.elements[j], None,
+                                                    WitnessKind.NOT_SEPARATED))
+    return RepVerdict(True)
+
+
+def oracle_richter_peleg(family, p):
+    base = oracle_multiutility(family, p)
+    if not base.ok:
+        return base
+    n = p.n
+
+    def strict(i, j):
+        return p.leq_idx(i, j) and not p.leq_idx(j, i)
+
+    for k, f in enumerate(family.members):
+        for i in range(n):
+            for j in range(n):
+                if strict(i, j) and f.values[i] >= f.values[j]:
+                    return RepVerdict(False, RepWitness(p.elements[i], p.elements[j], k,
+                                                        WitnessKind.STRICTNESS_VIOLATED))
+    for i in range(n):
+        for j in range(n):
+            all_lt = all(f.values[i] < f.values[j] for f in family.members)
+            if strict(i, j) != all_lt:
+                return RepVerdict(False, RepWitness(p.elements[i], p.elements[j], None,
+                                                    WitnessKind.STRICTNESS_VIOLATED))
+    return RepVerdict(True)
+
+
+def oracle_semicontinuity(f, t, sense):
+    n = len(f.values)
+    senses = (Sense.LOWER, Sense.UPPER) if sense is Sense.BOTH else (sense,)
+    for s in senses:
+        for x in range(n):
+            level = 0
+            for y in range(n):
+                if (f.values[y] <= f.values[x]) if s is Sense.LOWER else (f.values[y] >= f.values[x]):
+                    level |= 1 << y
+            if not ot.is_closed(t, level):
+                return ScVerdict(False, f.elements[x], level)
+    return ScVerdict(True)
+
+
+# Signed, non-integer rationals with small denominators, so ties and
+# near-ties between values of different denominators are common.
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(-7, 3), Fraction(1, 6), Fraction(-1, 2), Fraction(2, 4)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def key_instances(draw):
+    """A preorder, a topology on it, and a family of 1-3 rational functions.
+
+    A family is either drawn freely or is a positive affine image of the
+    lsc Richter-Peleg construction (with a chance of one value perturbed),
+    so the deeper strictness branches are reached as well as the early exits.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    labels = default_labels(n)
+    p = random_preorder(random.Random(draw(st.integers(0, 10_000))), labels)
+    base = draw(st.sampled_from(("indiscrete", "upper", "discrete")))
+    lower = {"indiscrete": ot.indiscrete(n), "upper": ot.upper_topology(p),
+             "discrete": ot.discrete(n)}[base]
+    t = ot.random_topology_between(lower, draw(st.integers(0, 10_000)),
+                                   draw(st.integers(0, 2)))
+    members = []
+    built = ot.construct_finite_lsc_rp_multiutility(p, ot.discrete(n)).family
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            pool = draw(st.lists(RATIONALS, min_size=1, max_size=4))
+            values = [draw(st.sampled_from(pool)) for _ in range(n)]
+        else:
+            scale = draw(RATIONALS.filter(lambda v: v > 0))
+            shift = draw(RATIONALS)
+            values = [v * scale + shift for v in built.members[k % n].values]
+            if draw(st.booleans()):
+                values[draw(st.integers(0, n - 1))] = draw(RATIONALS)
+        members.append(ValueFunction(labels, tuple(values)))
+    return p, t, FunctionFamily(tuple(members))
+
+
+# -7/3 < -1/2 < 1/6 order correctly only over their common denominator.
+_MIXED_CHAIN = ot.build_preorder(("a", "b", "c"), [("a", "b"), ("b", "c")])
+_MIXED_FAMILY = FunctionFamily((
+    ValueFunction(_MIXED_CHAIN.elements, (Fraction(-7, 3), Fraction(-1, 2), Fraction(1, 6))),
+    ValueFunction(_MIXED_CHAIN.elements, (Fraction(1, 6), Fraction(-1, 2), Fraction(2, 12))),
+))
+
+
+@given(key_instances())
+@example((_MIXED_CHAIN, ot.upper_topology(_MIXED_CHAIN), _MIXED_FAMILY))
+@settings(max_examples=300, deadline=None)
+def test_integer_keys_match_fraction_oracle(instance):
+    p, t, family = instance
+    assert ot.is_multiutility(family, p) == oracle_multiutility(family, p)
+    assert ot.is_richter_peleg_multiutility(family, p) == oracle_richter_peleg(family, p)
+    for f in family.members:
+        assert ot.monotonicity(f, p) == oracle_monotonicity(f, p)
+        for sense in Sense:
+            assert ot.semicontinuity(f, t, sense) == oracle_semicontinuity(f, t, sense)

@@ -178,7 +178,7 @@ def test_mine_seed_changes_instance_mix():
     ]
 
 
-def test_violation_serialisation_and_replay(chain3):
+def test_violation_serialisation_and_replay(chain3, monkeypatch):
     tu = ot.upper_topology(chain3)
     v = theorems._violation("lsc-iff-upper", chain3, tu, detail="fabricated")
     payload = json.loads(v.to_json())
@@ -189,14 +189,26 @@ def test_violation_serialisation_and_replay(chain3):
     assert report.theorem_id == "lsc-iff-upper"
     assert report.ok  # the fabricated instance actually satisfies the theorem
 
-    v2 = theorems._violation(
-        "chain-restriction",
-        _hook_instance(),
-        ot.discrete(3),
-        params={"chain": ["a", "b"], "x": "x"},
-    )
-    report = replay_violation(v2)
-    assert report.theorem_id == "chain-restriction" and report.ok
+    # A chain-restriction record (the suite makes these on its shared-premise
+    # path) replays through the public checker, which decides the premise afresh.
+    public = theorems.check_chain_restriction
+    calls = []
+
+    def spy(p, t, chain, x):
+        calls.append((p, t, chain, x))
+        return public(p, t, chain, x)
+
+    monkeypatch.setattr(theorems, "check_chain_restriction", spy)
+    p = _hook_instance()
+    for t, premise in ((ot.discrete(3), True), (ot.indiscrete(3), False)):
+        v2 = theorems._violation(
+            "chain-restriction", p, t, params={"chain": ["a", "b"], "x": "x"}
+        )
+        report = replay_violation(v2)
+        assert calls[-1] == (p, t, ot.mask_of(p, "ab"), "x")
+        assert report.theorem_id == "chain-restriction" and report.ok
+        assert (report.instances_checked, report.non_vacuous) == (1, int(premise))
+    assert len(calls) == 2
 
 
 def test_run_theorem_suite_small():
@@ -206,3 +218,51 @@ def test_run_theorem_suite_small():
     assert set(by_id) == set(theorems.THEOREM_IDS)
     assert all(r.instances_checked > 0 for r in suite.reports)
     assert by_id["chain-restriction"].non_vacuous > 0
+
+
+def reference_suite(max_size, seed):
+    """The suite as one public checker call per instance, nothing shared."""
+    tallies = {tid: theorems._Tally() for tid in theorems.THEOREM_IDS}
+    for n in range(1, max_size + 1):
+        for pi, p in enumerate(all_preorders(default_labels(n))):
+            rng = random.Random(seed * 7_777_777 + pi * 101 + n)
+            tu = ot.upper_topology(p)
+            ta = ot.alexandrov_topology(p)
+            sample_ts = [
+                ot.indiscrete(n),
+                ot.discrete(n),
+                tu,
+                ta,
+                ot.random_topology_between(tu, rng.randrange(1 << 30), 2),
+                ot.random_topology_between(ot.indiscrete(n), rng.randrange(1 << 30), 2),
+            ]
+            tallies["topology-coincidence"].add(check_topology_coincidence(p))
+            for t in sample_ts:
+                tallies["lsc-iff-upper"].add(check_lsc_iff_upper(p, t))
+                tallies["scott-necessity"].add(check_scott_necessity(p, t))
+            tallies["alexandrov-antitone"].add(
+                check_alexandrov_antitone(p, theorems.random_refinement(rng, p))
+            )
+            for t in (ta, ot.random_topology_between(ta, rng.randrange(1 << 30), 2)):
+                tallies["linear-extensions-lsc"].add(
+                    check_linear_extensions_lsc(p, t, samples=4, seed=rng.randrange(1 << 30))
+                )
+            for chain, x in theorems._chain_outsider_pairs(p):
+                for t in sample_ts:
+                    tallies["chain-restriction"].add(check_chain_restriction(p, t, chain, x))
+    return theorems._finish(tallies)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_suite_matches_public_checker_loop(seed):
+    def answers(suite):
+        return [
+            (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
+            for r in suite.reports
+        ]
+
+    suite = theorems.run_theorem_suite(max_size=3, seed=seed)
+    assert answers(suite) == answers(reference_suite(3, seed))
+    by_id = {r.theorem_id: r for r in suite.reports}
+    assert 0 < by_id["chain-restriction"].non_vacuous < by_id["chain-restriction"].instances_checked
+
