@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ordtop.errors import (
     DomainMismatchError,
@@ -118,7 +118,11 @@ def _integer_keys(values: tuple[Fraction, ...]) -> list[int]:
 
 def _level_sets(f: ValueFunction) -> tuple[list[int], list[int]]:
     """Per position i, the masks {j : f(j) <= f(i)} and {j : f(j) >= f(i)}."""
-    keys = _integer_keys(f.values)
+    return _key_level_sets(_integer_keys(f.values))
+
+
+def _key_level_sets(keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """:func:`_level_sets` of a function given by its integer keys."""
     n = len(keys)
     full = (1 << n) - 1
     below = [0] * n
@@ -207,7 +211,11 @@ def is_richter_peleg_multiutility(family: FunctionFamily, p: Preorder) -> RepVer
     iff every member strictly increases), which such a family must satisfy.
     """
     _require_family(family, p)
-    levels = [_level_sets(f) for f in family.members]
+    return _rp_verdict([_level_sets(f) for f in family.members], p)
+
+
+def _rp_verdict(levels: list[tuple[list[int], list[int]]], p: Preorder) -> RepVerdict:
+    """Core of :func:`is_richter_peleg_multiutility`, on the members' level sets."""
     base = _multiutility_verdict(levels, p)
     if not base.ok:
         return base
@@ -254,11 +262,18 @@ def semicontinuity(f: ValueFunction, t: Topology, sense: Sense) -> ScVerdict:
             f"{len(f.elements)} elements vs ground size {t.ground_size}"
         )
     below, above = _level_sets(f)
+    return _sc_verdict(f.elements, below, above, t, sense)
+
+
+def _sc_verdict(
+    elements: tuple[str, ...], below: list[int], above: list[int], t: Topology, sense: Sense
+) -> ScVerdict:
+    """Core of :func:`semicontinuity`, on the function's level sets."""
     senses = (Sense.LOWER, Sense.UPPER) if sense is Sense.BOTH else (sense,)
     for s in senses:
         for x, level in enumerate(below if s is Sense.LOWER else above):
             if not is_closed(t, level):
-                return ScVerdict(False, f.elements[x], level)
+                return ScVerdict(False, elements[x], level)
     return ScVerdict(True)
 
 
@@ -336,9 +351,13 @@ def construct_lsc_multiutility(p: Preorder, t: Topology) -> FunctionFamily:
 
 def construct_rp_utility(p: Preorder) -> ValueFunction:
     """f(y) = number of elements y is not below; isotonic and order-preserving."""
+    return ValueFunction(p.elements, tuple(Fraction(v) for v in _rp_utility_keys(p)))
+
+
+def _rp_utility_keys(p: Preorder) -> list[int]:
+    """The integer values of :func:`construct_rp_utility`."""
     n = p.n
-    values = tuple(Fraction(n - p.rows[i].bit_count()) for i in range(n))
-    return ValueFunction(p.elements, values)
+    return [n - r.bit_count() for r in p.rows]
 
 
 def rank_utility(p: Preorder) -> ValueFunction:
@@ -381,18 +400,31 @@ def construct_finite_lsc_rp_multiutility(p: Preorder, t: Topology) -> LscRpResul
     ``f``; the scale makes every separation an integer gap.  Otherwise
     returns the first offending contour as the obstruction.
     """
+    sc, rows = _lsc_rp_keys(p, t)
+    if not sc.ok:
+        return LscRpResult(obstruction=sc.witness, obstruction_contour=sc.contour)
+    members = tuple(
+        ValueFunction(p.elements, tuple(Fraction(v) for v in row)) for row in rows
+    )
+    return LscRpResult(family=FunctionFamily(members))
+
+
+def _lsc_rp_keys(p: Preorder, t: Topology) -> tuple[PreorderScVerdict, list[list[int]]]:
+    """Core of :func:`construct_finite_lsc_rp_multiutility`.
+
+    Returns the lower-semicontinuity verdict of ``p`` in ``t`` and, when it
+    holds, the family as integer rows (row i is g_i on the element order);
+    the rows are empty otherwise.  The values are integers, so each row is
+    its own integer keys.
+    """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     sc = preorder_semicontinuity(p, t, Sense.LOWER)
     if not sc.ok:
-        return LscRpResult(obstruction=sc.witness, obstruction_contour=sc.contour)
-    f = [int(v) for v in construct_rp_utility(p).values]
+        return sc, []
+    f = _rp_utility_keys(p)
     scale = max(f) + 1
-    members = []
-    for i in range(p.n):
-        below = p.cols[i]
-        values = tuple(
-            Fraction(f[j] if below >> j & 1 else f[j] + scale) for j in range(p.n)
-        )
-        members.append(ValueFunction(p.elements, values))
-    return LscRpResult(family=FunctionFamily(tuple(members)))
+    raised = [v + scale for v in f]
+    positions = range(p.n)
+    rows = [[f[j] if below >> j & 1 else raised[j] for j in positions] for below in p.cols]
+    return sc, rows

@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 from ordtop import instances
 from ordtop.errors import (
     GroundMismatchError,
+    OutOfBoundsError,
     PremiseFailedError,
     RefinementViolatedError,
     TooLargeError,
@@ -33,12 +34,14 @@ from ordtop.preorders import (
 )
 from ordtop.representations import (
     Sense,
-    is_richter_peleg_multiutility,
-    construct_finite_lsc_rp_multiutility,
+    _key_level_sets,
+    _lsc_rp_keys,
+    _rp_verdict,
+    _sc_verdict,
     preorder_semicontinuity,
-    semicontinuity,
 )
 from ordtop.topologies import (
+    FinerVerdict,
     Topology,
     alexandrov_topology,
     discrete,
@@ -53,6 +56,7 @@ from ordtop.topologies import (
 
 CHAIN_RESTRICTION_CAP = 8
 MINE_CAP = 8
+SUITE_CAP = 6
 _EXHAUSTIVE_LIMIT = 50_000
 
 THEOREM_IDS = (
@@ -123,11 +127,15 @@ def _violation(
 
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
-    started = time.perf_counter()
+    return _lsc_iff_upper(p, t, upper_topology(p), time.perf_counter())
+
+
+def _lsc_iff_upper(p: Preorder, t: Topology, tu: Topology, started: float) -> TheoremReport:
+    """Core of :func:`check_lsc_iff_upper`; ``tu`` is ``upper_topology(p)``."""
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     lhs = preorder_semicontinuity(p, t, Sense.LOWER).ok
-    rhs = is_finer(t, upper_topology(p)).ok
+    rhs = is_finer(t, tu).ok
     violations = []
     if lhs != rhs:
         violations.append(
@@ -154,34 +162,33 @@ def _scott_necessity(
 ) -> TheoremReport:
     """Core of :func:`check_scott_necessity`; ``scott`` is ``scott_topology(p)``
     when the caller already has it, else it is computed here when needed."""
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
-    result = construct_finite_lsc_rp_multiutility(p, t)
+    # The family of construct_finite_lsc_rp_multiutility, as integer rows.
+    sc, rows = _lsc_rp_keys(p, t)
     violations = []
-    if not result.has_family:
-        assert result.obstruction_contour is not None
-        if is_closed(t, result.obstruction_contour):
+    if not sc.ok:
+        assert sc.contour is not None
+        if is_closed(t, sc.contour):
             violations.append(
                 _violation(
                     "scott-necessity", p, t,
-                    detail=f"obstruction contour of {result.obstruction!r} is closed after all",
+                    detail=f"obstruction contour of {sc.witness!r} is closed after all",
                 )
             )
         return _report("scott-necessity", 1, 0, violations, started)
-    family = result.family
-    assert family is not None
-    verdict = is_richter_peleg_multiutility(family, p)
+    # Each member's level sets feed both re-checks.
+    levels = [_key_level_sets(row) for row in rows]
+    verdict = _rp_verdict(levels, p)
     if not verdict.ok:
         violations.append(
             _violation("scott-necessity", p, t,
                        detail=f"constructed family fails the RP check: {verdict.witness}")
         )
-    for k, member in enumerate(family.members):
-        sc = semicontinuity(member, t, Sense.LOWER)
-        if not sc.ok:
+    for k, (below, above) in enumerate(levels):
+        member_sc = _sc_verdict(p.elements, below, above, t, Sense.LOWER)
+        if not member_sc.ok:
             violations.append(
                 _violation("scott-necessity", p, t,
-                           detail=f"member {k} is not lower semicontinuous at {sc.at!r}")
+                           detail=f"member {k} is not lower semicontinuous at {member_sc.at!r}")
             )
     fin = is_finer(t, scott_topology(p) if scott is None else scott)
     if not fin.ok:
@@ -281,12 +288,26 @@ def check_chain_restriction(
     def premise() -> bool:
         return _all_extensions_lsc(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT), t)
 
-    return _chain_restriction(p, t, chain, x, premise, time.perf_counter())
+    def conclusion() -> FinerVerdict:
+        return _chain_refines_alexandrov(p, t, chain)
+
+    return _chain_restriction(p, t, chain, x, premise, conclusion, time.perf_counter())
 
 
 def _all_extensions_lsc(extensions: Sequence[Preorder], t: Topology) -> bool:
     """The chain-restriction premise: every given linear extension is lsc in ``t``."""
     return all(preorder_semicontinuity(e, t, Sense.LOWER).ok for e in extensions)
+
+
+def _chain_refines_alexandrov(
+    p: Preorder, t: Topology, chain: int, chain_alexandrov: Topology | None = None
+) -> FinerVerdict:
+    """The chain-restriction conclusion: the trace of ``t`` on ``chain``
+    refines the Alexandrov topology of ``p`` restricted to it, which is
+    ``chain_alexandrov`` when the caller already has it."""
+    if chain_alexandrov is None:
+        chain_alexandrov = alexandrov_topology(restrict(p, chain))
+    return is_finer(subspace(t, chain), chain_alexandrov)
 
 
 def _chain_restriction(
@@ -295,14 +316,17 @@ def _chain_restriction(
     chain: int,
     x: str,
     premise: Callable[[], bool],
+    conclusion: Callable[[], FinerVerdict],
     started: float,
 ) -> TheoremReport:
     """Core of :func:`check_chain_restriction`.
 
     ``premise()`` decides whether every linear extension of ``p`` is lsc
-    in ``t``; it is called only after the instance has been validated, so
-    a caller may compute it lazily and share it between the chains of one
-    (p, t).
+    in ``t``, and ``conclusion()`` is :func:`_chain_refines_alexandrov` of
+    (p, t, chain).  The premise is called only after the instance has been
+    validated, and the conclusion only when the premise holds, so a caller
+    may compute either lazily and share it between the instances that
+    have the same (p, t), resp. (p, t, chain).
     """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
@@ -310,7 +334,8 @@ def _chain_restriction(
         raise TooLargeError(CHAIN_RESTRICTION_CAP, p.n)
     if not chain:
         raise PremiseFailedError("chain is empty")
-    chain_elems = labels_of(p, chain)
+    if chain & ~p.full_mask:
+        raise OutOfBoundsError(chain, p.n)
     rows, cols = p.rows, p.cols
     m = chain
     while m:
@@ -333,13 +358,13 @@ def _chain_restriction(
         )
     if not premise():
         return _report("chain-restriction", 1, 0, [], started)
-    fin = is_finer(subspace(t, chain), alexandrov_topology(restrict(p, chain)))
+    fin = conclusion()
     violations = []
     if not fin.ok:
         violations.append(
             _violation(
                 "chain-restriction", p, t,
-                params={"chain": list(chain_elems), "x": x},
+                params={"chain": list(labels_of(p, chain)), "x": x},
                 detail=f"trace open {fin.missing_open:#x} missing on the chain",
             )
         )
@@ -349,12 +374,14 @@ def _chain_restriction(
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
-    return _topology_coincidence(p, scott_topology(p), started)
+    return _topology_coincidence(p, scott_topology(p), upper_topology(p), started)
 
 
-def _topology_coincidence(p: Preorder, ts: Topology, started: float) -> TheoremReport:
-    """Core of :func:`check_topology_coincidence`; ``ts`` is ``scott_topology(p)``."""
-    tu = upper_topology(p)
+def _topology_coincidence(
+    p: Preorder, ts: Topology, tu: Topology, started: float
+) -> TheoremReport:
+    """Core of :func:`check_topology_coincidence`; ``ts`` is ``scott_topology(p)``
+    and ``tu`` is ``upper_topology(p)``."""
     ta = alexandrov_topology(p)
     violations = []
     if not is_finer(ts, tu).ok:
@@ -557,10 +584,20 @@ class _Tally:
     elapsed: float = 0.0
 
     def add(self, report: TheoremReport) -> None:
+        self.count(report)
+        self.elapsed += report.elapsed
+
+    def count(self, report: TheoremReport) -> None:
+        """Add the report's counts and violations but not its time."""
         self.checked += report.instances_checked
         self.non_vacuous += report.non_vacuous
         self.violations.extend(report.violations)
-        self.elapsed += report.elapsed
+
+    def charge(self, started: float) -> float:
+        """Add the time since ``started``; return now, to start the next block."""
+        now = time.perf_counter()
+        self.elapsed += now - started
+        return now
 
     def vacuous(self) -> None:
         self.checked += 1
@@ -643,22 +680,31 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     Each preorder is paired with a spread of topologies (its own derived
     ones, the two trivial ones, and seeded refinements) and run through
     every checker; chain-restriction instances enumerate every chain plus
-    incomparable outsider.
+    incomparable outsider.  Sizes above :data:`SUITE_CAP` are refused
+    before anything is enumerated: the partial orders on k blocks are
+    found among 3^(k(k-1)/2) assignments.
 
     The checks are those of the public ``check_*`` functions (the same
-    cores run), but work that depends only on p, or on (p, t), is done
-    once and its time is charged to one theorem that uses it: the Scott
-    topology of p to topology-coincidence, the linear extensions of p to
-    linear-extensions-lsc, and the chain-restriction premise of each
-    distinct t (every linear extension lsc in t) to the first
-    chain-restriction instance of that (p, t).
+    cores run), but work that depends only on p, or on (p, t), or on
+    (p, t, chain), is done once.  Each theorem's ``elapsed`` is the time
+    of its whole block per p, and work shared between theorems is
+    charged to one theorem that uses it: the six sample topologies and
+    the upper topology of p to lsc-iff-upper, the Scott topology of p to
+    topology-coincidence, the random refinement to alexandrov-antitone,
+    the linear extensions of p and the refined Alexandrov topology to
+    linear-extensions-lsc, and the (chain, outsider) enumeration, the
+    premise of each distinct t (every linear extension lsc in t), the
+    conclusion of each distinct (t, chain) and the Alexandrov topology of
+    each chain to chain-restriction.  Only the enumeration of the
+    preorders themselves is charged to no theorem.
     """
-    if max_size > CHAIN_RESTRICTION_CAP:
-        raise TooLargeError(CHAIN_RESTRICTION_CAP, max_size, what="largest suite instance")
+    if max_size > SUITE_CAP:
+        raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
     for n in range(1, max_size + 1):
         labels = default_labels(n)
         for pi, p in enumerate(all_preorders(labels)):
+            started = time.perf_counter()
             rng = random.Random(seed * 7_777_777 + pi * 101 + n)
             tu = upper_topology(p)
             ta = alexandrov_topology(p)
@@ -670,59 +716,90 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            started = time.perf_counter()
-            ts = scott_topology(p)
-            tallies["topology-coincidence"].add(_topology_coincidence(p, ts, started))
+            tally = tallies["lsc-iff-upper"]
             for t in sample_ts:
-                tallies["lsc-iff-upper"].add(check_lsc_iff_upper(p, t))
-                tallies["scott-necessity"].add(
-                    _scott_necessity(p, t, ts, time.perf_counter())
-                )
-            tallies["alexandrov-antitone"].add(
-                check_alexandrov_antitone(p, random_refinement(rng, p))
-            )
-            started = time.perf_counter()  # the first call pays for the enumeration
+                tally.count(_lsc_iff_upper(p, t, tu, started))
+            started = tally.charge(started)
+
+            ts = scott_topology(p)
+            tally = tallies["topology-coincidence"]
+            tally.count(_topology_coincidence(p, ts, tu, started))
+            started = tally.charge(started)
+
+            tally = tallies["scott-necessity"]
+            for t in sample_ts:
+                tally.count(_scott_necessity(p, t, ts, started))
+            started = tally.charge(started)
+
+            tally = tallies["alexandrov-antitone"]
+            tally.count(check_alexandrov_antitone(p, random_refinement(rng, p)))
+            started = tally.charge(started)
+
+            tally = tallies["linear-extensions-lsc"]
             exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT)
             for t in (ta, random_topology_between(ta, rng.randrange(1 << 30), 2)):
-                tallies["linear-extensions-lsc"].add(
+                tally.count(
                     _linear_extensions_lsc(p, t, 4, rng.randrange(1 << 30), exts, started)
                 )
-                started = time.perf_counter()
-            # Equal topologies share one premise (at finite scale tu == ta).
+            started = tally.charge(started)
+
+            tally = tallies["chain-restriction"]
+            # Equal topologies share one premise and one conclusion per chain
+            # (at finite scale tu == ta).
             premises = {
                 t: functools.cache(functools.partial(_all_extensions_lsc, exts, t))
                 for t in sample_ts
             }
+            conclusions: dict[tuple[tuple[int, ...], int], FinerVerdict] = {}
+            chain_alexandrov: dict[int, Topology] = {}
+
+            def conclusion(t: Topology, chain: int) -> FinerVerdict:
+                key = (t.rows, chain)
+                fin = conclusions.get(key)
+                if fin is None:
+                    ta_chain = chain_alexandrov.get(chain)
+                    if ta_chain is None:
+                        ta_chain = alexandrov_topology(restrict(p, chain))
+                        chain_alexandrov[chain] = ta_chain
+                    fin = _chain_refines_alexandrov(p, t, chain, ta_chain)
+                    conclusions[key] = fin
+                return fin
+
             for chain, x in _chain_outsider_pairs(p):
                 for t in sample_ts:
-                    tallies["chain-restriction"].add(
+                    tally.count(
                         _chain_restriction(
-                            p, t, chain, x, premises[t], time.perf_counter()
+                            p, t, chain, x, premises[t],
+                            functools.partial(conclusion, t, chain), started,
                         )
                     )
+            tally.charge(started)
     return _finish(tallies)
 
 
 def _chain_outsider_pairs(p: Preorder) -> Iterator[tuple[int, str]]:
-    """Every (nonempty chain mask, incomparable outsider) pair of ``p``."""
-    n = p.n
-    for chain in range(1, 1 << n):
-        elems = []
+    """Every (nonempty chain mask, incomparable outsider) pair of ``p``.
+
+    A mask is a chain when it lies inside the comparability set of each
+    of its points; the outsiders are the points comparable to none of
+    them.  Chains ascend, and so do the outsiders of each chain.
+    """
+    full = p.full_mask
+    comparable = [r | c for r, c in zip(p.rows, p.cols)]
+    elements = p.elements
+    for chain in range(1, full + 1):
+        reach = chain
         m = chain
         while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            elems.append(i)
-        if any(
-            not p.leq_idx(a, b) and not p.leq_idx(b, a)
-            for ai, a in enumerate(elems)
-            for b in elems[ai + 1 :]
-        ):
-            continue
-        for xi in range(n):
-            if chain >> xi & 1:
-                continue
-            if all(
-                not p.leq_idx(xi, c) and not p.leq_idx(c, xi) for c in elems
-            ):
-                yield chain, p.elements[xi]
+            low = m & -m
+            around = comparable[low.bit_length() - 1]
+            if chain & ~around:
+                break
+            reach |= around
+            m ^= low
+        else:
+            out = full & ~reach
+            while out:
+                low = out & -out
+                yield chain, elements[low.bit_length() - 1]
+                out ^= low

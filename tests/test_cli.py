@@ -173,6 +173,7 @@ def test_theorems_size_above_cap_is_refused(monkeypatch, capsys):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(theorems, "all_preorders", fail)
-    code, payload = run_json(capsys, "theorems", "--max-size", "9")
-    assert code == 2 and payload["exit_code"] == 2 and not payload["ok"]
-    assert "capped at 8" in payload["error"]
+    for size in ("7", "9"):
+        code, payload = run_json(capsys, "theorems", "--max-size", size)
+        assert code == 2 and payload["exit_code"] == 2 and not payload["ok"]
+        assert "capped at 6" in payload["error"]

@@ -6,8 +6,9 @@ import random
 import pytest
 
 import ordtop as ot
-from ordtop import theorems
+from ordtop import representations, theorems
 from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
+from ordtop.topologies import FinerVerdict
 from ordtop.theorems import (
     TheoremViolation,
     all_preorders,
@@ -266,3 +267,111 @@ def test_suite_matches_public_checker_loop(seed):
     by_id = {r.theorem_id: r for r in suite.reports}
     assert 0 < by_id["chain-restriction"].non_vacuous < by_id["chain-restriction"].instances_checked
 
+
+
+def suite_topologies(p, pi, n, seed):
+    """The six topologies the suite pairs with the ``pi``-th preorder on n elements."""
+    rng = random.Random(seed * 7_777_777 + pi * 101 + n)
+    tu = ot.upper_topology(p)
+    return [
+        ot.indiscrete(n),
+        ot.discrete(n),
+        tu,
+        ot.alexandrov_topology(p),
+        ot.random_topology_between(tu, rng.randrange(1 << 30), 2),
+        ot.random_topology_between(ot.indiscrete(n), rng.randrange(1 << 30), 2),
+    ]
+
+
+def test_integer_family_matches_public_construction():
+    for n in range(1, 4):
+        for pi, p in enumerate(all_preorders(default_labels(n))):
+            # g_i(j) = f(j), plus (max f + 1) when j is not below i, where
+            # f(j) is the number of elements j is not below.
+            f = [sum(not p.leq_idx(j, k) for k in range(n)) for j in range(n)]
+            expected = [
+                [f[j] + (0 if p.leq_idx(j, i) else max(f) + 1) for j in range(n)]
+                for i in range(n)
+            ]
+            for t in suite_topologies(p, pi, n, seed=0):
+                sc, rows = representations._lsc_rp_keys(p, t)
+                result = ot.construct_finite_lsc_rp_multiutility(p, t)
+                assert (sc.witness, sc.contour) == (
+                    result.obstruction,
+                    result.obstruction_contour,
+                )
+                if not result.has_family:
+                    assert not sc.ok and rows == []
+                    continue
+                members = result.family.members
+                assert sc.ok
+                assert rows == [representations._integer_keys(g.values) for g in members]
+                assert rows == expected
+                assert [representations._key_level_sets(row) for row in rows] == [
+                    representations._level_sets(g) for g in members
+                ]
+
+
+def pairwise_chain_outsider_pairs(p):
+    """Oracle: test every pair of chain points, then every outsider, by leq."""
+    n = p.n
+    for chain in range(1, 1 << n):
+        elems = [i for i in range(n) if chain >> i & 1]
+        if any(
+            not p.leq_idx(a, b) and not p.leq_idx(b, a)
+            for ai, a in enumerate(elems)
+            for b in elems[ai + 1 :]
+        ):
+            continue
+        for xi in range(n):
+            if chain >> xi & 1:
+                continue
+            if all(not p.leq_idx(xi, c) and not p.leq_idx(c, xi) for c in elems):
+                yield chain, p.elements[xi]
+
+
+def test_chain_outsider_pairs_match_pairwise_oracle():
+    for n in range(1, 5):
+        for p in all_preorders(default_labels(n)):
+            assert list(theorems._chain_outsider_pairs(p)) == list(
+                pairwise_chain_outsider_pairs(p)
+            )
+
+
+def test_suite_size_4_counts():
+    suite = theorems.run_theorem_suite(max_size=4, seed=0)
+    assert suite.ok
+    assert [(r.theorem_id, r.instances_checked, r.non_vacuous) for r in suite.reports] == [
+        ("topology-coincidence", 389, 389),
+        ("lsc-iff-upper", 2334, 2334),
+        ("scott-necessity", 2334, 1569),
+        ("alexandrov-antitone", 389, 389),
+        ("linear-extensions-lsc", 2024, 2024),
+        ("chain-restriction", 12582, 8390),
+    ]
+
+
+def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
+    # The theorem holds, so a conclusion shared across different topologies
+    # would still read ok.  A conclusion that fails in the discrete topology
+    # alone makes any such sharing change the answers.
+    real = theorems._chain_refines_alexandrov
+
+    def fails_when_discrete(p, t, chain, chain_alexandrov=None):
+        fin = real(p, t, chain, chain_alexandrov)
+        if t == ot.discrete(p.n):
+            return FinerVerdict(False, chain)
+        return fin
+
+    monkeypatch.setattr(theorems, "_chain_refines_alexandrov", fails_when_discrete)
+
+    def answers(suite):
+        return [
+            (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
+            for r in suite.reports
+        ]
+
+    suite = theorems.run_theorem_suite(max_size=3, seed=0)
+    assert answers(suite) == answers(reference_suite(3, 0))
+    by_id = {r.theorem_id: r for r in suite.reports}
+    assert len(by_id["chain-restriction"].violations) > 0
