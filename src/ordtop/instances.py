@@ -11,9 +11,8 @@ topology, function totality); serialisation is canonical so that
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ordtop import errors as err
 from ordtop import topologies
@@ -26,14 +25,12 @@ TOPOLOGY_MODES = ("upper", "alexandrov", "scott", "order", "explicit")
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(NamedTuple):
     mode: str
     opens: tuple[tuple[str, ...], ...] | None = None
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(NamedTuple):
     elements: tuple[str, ...]
     relation: tuple[tuple[str, str], ...]
     autoclose: bool = True

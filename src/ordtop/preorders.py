@@ -14,9 +14,8 @@ threads.  Randomised operations take explicit seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ordtop import kernels
 from ordtop.errors import (
@@ -63,8 +62,8 @@ class _lazy:
     calling back into Python; unlike ``functools.cached_property`` on
     Python 3.11, no lock is taken: two threads racing on a first access
     both compute the same value from immutable fields, and either store is
-    correct.  The stored value is not a dataclass field, so equality and
-    hashing still see only the fields.
+    correct.  Equality and hashing of the owner read its fields by name, so
+    they never see the stored value.
     """
 
     def __init__(self, func):
@@ -80,12 +79,55 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
-class Preorder:
-    """Immutable finite preorder; construct via :func:`build_preorder`."""
+class _Record:
+    """Base of the hand-written records: immutable, with the fields named in
+    ``_fields``, which alone are compared, hashed and shown in the repr.
+    A record equals only records of its own class.  Subclasses store their
+    fields in ``__init__`` through ``object.__setattr__`` (or the instance
+    dict), since assignment raises :class:`AttributeError`.
+    """
 
-    elements: tuple[str, ...]
-    rows: tuple[int, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class Preorder(_Record):
+    """Immutable finite preorder; construct via :func:`build_preorder`.
+
+    Its fields are ``elements`` and ``rows``; the instance dict also holds
+    the :class:`_lazy` attributes once they have been read.
+    """
+
+    _fields = ("elements", "rows")
+
+    def __init__(self, elements: tuple[str, ...], rows: tuple[int, ...]) -> None:
+        fields = self.__dict__
+        fields["elements"] = elements
+        fields["rows"] = rows
 
     @property
     def n(self) -> int:
@@ -234,8 +276,7 @@ def contour(p: Preorder, a: str, kind: ContourKind) -> int:
     return p.cols[i] & ~p.rows[i]
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
+class MonotoneVerdict(NamedTuple):
     ok: bool
     witness: tuple[str, str] | None = None
 
@@ -255,8 +296,7 @@ def is_monotone_set(p: Preorder, mask: int, direction: SetDirection) -> Monotone
     return MonotoneVerdict(True)
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """Partial order on equivalence classes plus the projection map."""
 
     order: Preorder
@@ -287,8 +327,7 @@ def quotient(p: Preorder) -> Quotient:
     return Quotient(Preorder(labels, tuple(rows)), class_of, tuple(class_masks))
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(NamedTuple):
     size: int
     antichain: int
 
@@ -340,6 +379,18 @@ def szpilrajn_extension(
             if class_rows[ci] >> cj & 1 and class_rows[cj] >> ci & 1:
                 pair = (q.order.elements[ci], q.order.elements[cj])
                 raise InconsistentForcingError(pair, "forced pairs create a cycle")
+    return _szpilrajn_from_classes(p, q, class_rows, seed)
+
+
+def _szpilrajn_from_classes(
+    p: Preorder, q: Quotient, class_rows: Sequence[int], seed: int
+) -> Preorder:
+    """Core of :func:`szpilrajn_extension`: ``q`` is ``quotient(p)`` and
+    ``class_rows`` a transitive, antisymmetric relation on its classes that
+    contains ``q.order.rows``.  Without forced pairs that is ``q.order.rows``
+    itself, so a caller drawing many extensions of one preorder computes
+    the quotient once."""
+    k = q.order.n
     rng = random.Random(seed)
     remaining = (1 << k) - 1
     order: list[int] = []
@@ -409,8 +460,7 @@ def enumerate_linear_extensions(p: Preorder, limit: int) -> list[Preorder]:
     return results
 
 
-@dataclass(frozen=True)
-class DirectedSupVerdict:
+class DirectedSupVerdict(NamedTuple):
     is_directed: bool
     sup_class: int | None
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ordtop.errors import (
     DomainMismatchError,
@@ -26,22 +25,23 @@ from ordtop.errors import (
     NotLscPreorderError,
     NotTotalError,
 )
-from ordtop.preorders import ContourKind, Preorder, contour, quotient
+from ordtop.preorders import ContourKind, Preorder, _Record, contour, quotient
 from ordtop.topologies import Topology, is_closed
 
 
-@dataclass(frozen=True)
-class ValueFunction:
+class ValueFunction(_Record):
     """Exact-rational function aligned with an element order."""
 
-    elements: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = ("elements", "values")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.values):
+    def __init__(self, elements: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
+        if len(elements) != len(values):
             raise DomainMismatchError(
-                f"{len(self.values)} values for {len(self.elements)} elements"
+                f"{len(values)} values for {len(elements)} elements"
             )
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_mapping(cls, elements: Iterable[str], mapping: Mapping[str, object]) -> ValueFunction:
@@ -64,8 +64,7 @@ class ValueFunction:
         return dict(zip(self.elements, self.values))
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
+class FunctionFamily(NamedTuple):
     members: tuple[ValueFunction, ...]
 
 
@@ -84,22 +83,19 @@ class WitnessKind(Enum):
     STRICTNESS_VIOLATED = "strictness-violated"
 
 
-@dataclass(frozen=True)
-class RepWitness:
+class RepWitness(NamedTuple):
     x: str
     y: str
     member: int | None
     kind: WitnessKind
 
 
-@dataclass(frozen=True)
-class RepVerdict:
+class RepVerdict(NamedTuple):
     ok: bool
     witness: RepWitness | None = None
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(NamedTuple):
     isotonic: bool
     order_preserving: bool
     witness: tuple[str, str] | None = None
@@ -244,8 +240,7 @@ def _rp_verdict(levels: list[tuple[list[int], list[int]]], p: Preorder) -> RepVe
     return RepVerdict(True)
 
 
-@dataclass(frozen=True)
-class ScVerdict:
+class ScVerdict(NamedTuple):
     ok: bool
     at: str | None = None
     failing_set: int | None = None
@@ -277,8 +272,7 @@ def _sc_verdict(
     return ScVerdict(True)
 
 
-@dataclass(frozen=True)
-class PreorderScVerdict:
+class PreorderScVerdict(NamedTuple):
     ok: bool
     witness: str | None = None
     contour: int | None = None
@@ -297,8 +291,7 @@ def preorder_semicontinuity(p: Preorder, t: Topology, sense: Sense) -> PreorderS
     return PreorderScVerdict(True)
 
 
-@dataclass(frozen=True)
-class StrictContinuityVerdict:
+class StrictContinuityVerdict(NamedTuple):
     ok: bool
     witness: str | None = None
     kind: ContourKind | None = None
@@ -374,8 +367,7 @@ def rank_utility(p: Preorder) -> ValueFunction:
     return ValueFunction(p.elements, values)
 
 
-@dataclass(frozen=True)
-class LscRpResult:
+class LscRpResult(NamedTuple):
     """Certificate for the lsc Richter-Peleg decision procedure.
 
     Exactly one of ``family`` (the representation) and ``obstruction``

@@ -12,8 +12,7 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ordtop import instances
 from ordtop.errors import (
@@ -25,12 +24,13 @@ from ordtop.errors import (
 )
 from ordtop.preorders import (
     Preorder,
+    _szpilrajn_from_classes,
     build_preorder,
     enumerate_linear_extensions,
     labels_of,
     mask_of,
+    quotient,
     restrict,
-    szpilrajn_extension,
 )
 from ordtop.representations import (
     Sense,
@@ -69,8 +69,7 @@ THEOREM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class TheoremViolation:
+class TheoremViolation(NamedTuple):
     theorem_id: str
     instance: str  # serialised InstanceDocument
     params: dict
@@ -87,8 +86,7 @@ class TheoremViolation:
         )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     instances_checked: int
     non_vacuous: int
@@ -259,7 +257,13 @@ def _linear_extensions_lsc(
     else:
         exts = extensions[:wanted]
     if len(exts) > samples:
-        exts = [szpilrajn_extension(p, (), seed=seed * 8191 + i) for i in range(samples)]
+        # Without forced pairs the extension draws on the quotient's own
+        # rows, so one quotient serves every sample.
+        q = quotient(p)
+        exts = [
+            _szpilrajn_from_classes(p, q, q.order.rows, seed * 8191 + i)
+            for i in range(samples)
+        ]
     violations = []
     for ext in exts:
         sc = preorder_semicontinuity(ext, t, Sense.LOWER)
@@ -284,14 +288,18 @@ def check_chain_restriction(
     instances are capped at 8 elements because the premise is checked
     against every linear extension.
     """
+    started = time.perf_counter()
 
-    def premise() -> bool:
+    def premise(t: Topology) -> bool:
         return _all_extensions_lsc(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT), t)
 
-    def conclusion() -> FinerVerdict:
+    def conclusion(t: Topology, chain: int) -> FinerVerdict:
         return _chain_refines_alexandrov(p, t, chain)
 
-    return _chain_restriction(p, t, chain, x, premise, conclusion, time.perf_counter())
+    held, violation = _chain_restriction(p, t, chain, x, premise, conclusion)
+    return _report(
+        "chain-restriction", 1, int(held), [] if violation is None else [violation], started
+    )
 
 
 def _all_extensions_lsc(extensions: Sequence[Preorder], t: Topology) -> bool:
@@ -315,18 +323,18 @@ def _chain_restriction(
     t: Topology,
     chain: int,
     x: str,
-    premise: Callable[[], bool],
-    conclusion: Callable[[], FinerVerdict],
-    started: float,
-) -> TheoremReport:
-    """Core of :func:`check_chain_restriction`.
+    premise: Callable[[Topology], bool],
+    conclusion: Callable[[Topology, int], FinerVerdict],
+) -> tuple[bool, TheoremViolation | None]:
+    """Core of :func:`check_chain_restriction`: whether the premise held,
+    and the violation if the conclusion failed.
 
-    ``premise()`` decides whether every linear extension of ``p`` is lsc
-    in ``t``, and ``conclusion()`` is :func:`_chain_refines_alexandrov` of
-    (p, t, chain).  The premise is called only after the instance has been
-    validated, and the conclusion only when the premise holds, so a caller
-    may compute either lazily and share it between the instances that
-    have the same (p, t), resp. (p, t, chain).
+    ``premise(t)`` decides whether every linear extension of ``p`` is lsc
+    in ``t``, and ``conclusion(t, chain)`` is :func:`_chain_refines_alexandrov`
+    of (p, t, chain).  The premise is called only after the instance has
+    been validated, and the conclusion only when the premise holds, so a
+    caller may compute either lazily and share it between the instances
+    that have the same (p, t), resp. (p, t, chain).
     """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
@@ -356,19 +364,16 @@ def _chain_restriction(
         raise PremiseFailedError(
             f"{x!r} is comparable to a chain element", (x, p.elements[c])
         )
-    if not premise():
-        return _report("chain-restriction", 1, 0, [], started)
-    fin = conclusion()
-    violations = []
-    if not fin.ok:
-        violations.append(
-            _violation(
-                "chain-restriction", p, t,
-                params={"chain": list(labels_of(p, chain)), "x": x},
-                detail=f"trace open {fin.missing_open:#x} missing on the chain",
-            )
-        )
-    return _report("chain-restriction", 1, 1, violations, started)
+    if not premise(t):
+        return False, None
+    fin = conclusion(t, chain)
+    if fin.ok:
+        return True, None
+    return True, _violation(
+        "chain-restriction", p, t,
+        params={"chain": list(labels_of(p, chain)), "x": x},
+        detail=f"trace open {fin.missing_open:#x} missing on the chain",
+    )
 
 
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
@@ -576,12 +581,22 @@ def find_chain_and_outsider(p: Preorder, rng: random.Random) -> tuple[int, str] 
 # aggregation
 
 
-@dataclass
 class _Tally:
-    checked: int = 0
-    non_vacuous: int = 0
-    violations: list[TheoremViolation] = field(default_factory=list)
-    elapsed: float = 0.0
+    """Running counts, violations and time of one theorem."""
+
+    __slots__ = ("checked", "non_vacuous", "violations", "elapsed")
+
+    def __init__(
+        self,
+        checked: int = 0,
+        non_vacuous: int = 0,
+        violations: list[TheoremViolation] | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.checked = checked
+        self.non_vacuous = non_vacuous
+        self.violations = [] if violations is None else violations
+        self.elapsed = elapsed
 
     def add(self, report: TheoremReport) -> None:
         self.count(report)
@@ -603,8 +618,7 @@ class _Tally:
         self.checked += 1
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     reports: tuple[TheoremReport, ...]
 
     @property
@@ -745,13 +759,17 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
 
             tally = tallies["chain-restriction"]
             # Equal topologies share one premise and one conclusion per chain
-            # (at finite scale tu == ta).
-            premises = {
-                t: functools.cache(functools.partial(_all_extensions_lsc, exts, t))
-                for t in sample_ts
-            }
+            # (at finite scale tu == ta); the sample topologies all have n
+            # points, so their rows identify them.
+            premises: dict[tuple[int, ...], bool] = {}
             conclusions: dict[tuple[tuple[int, ...], int], FinerVerdict] = {}
             chain_alexandrov: dict[int, Topology] = {}
+
+            def premise(t: Topology) -> bool:
+                held = premises.get(t.rows)
+                if held is None:
+                    held = premises[t.rows] = _all_extensions_lsc(exts, t)
+                return held
 
             def conclusion(t: Topology, chain: int) -> FinerVerdict:
                 key = (t.rows, chain)
@@ -767,12 +785,12 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
 
             for chain, x in _chain_outsider_pairs(p):
                 for t in sample_ts:
-                    tally.count(
-                        _chain_restriction(
-                            p, t, chain, x, premises[t],
-                            functools.partial(conclusion, t, chain), started,
-                        )
-                    )
+                    held, violation = _chain_restriction(p, t, chain, x, premise, conclusion)
+                    tally.checked += 1
+                    if held:
+                        tally.non_vacuous += 1
+                        if violation is not None:
+                            tally.violations.append(violation)
             tally.charge(started)
     return _finish(tallies)
 

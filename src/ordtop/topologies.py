@@ -14,9 +14,8 @@ that it is exactly a topology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ordtop import kernels
 from ordtop.errors import (
@@ -26,40 +25,42 @@ from ordtop.errors import (
     OutOfBoundsError,
     TooLargeError,
 )
-from ordtop.preorders import ContourKind, Preorder, contour
+from ordtop.preorders import ContourKind, Preorder, _Record, contour
 
 SCOTT_CAP = 20
 
 
-@dataclass(frozen=True, slots=True)
-class Topology:
+class Topology(_Record):
     """A finite topology; ``rows[x]`` is the minimal open neighbourhood of x.
 
     The rows must form a preorder: x lies in U_x, and y in U_x implies
     U_y within U_x.  Anything else raises :class:`NotATopologyError`.
+    ``ground_size`` and ``rows`` are its only fields, fixed at construction.
     """
 
-    ground_size: int
-    rows: tuple[int, ...]
+    __slots__ = ("ground_size", "rows")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.ground_size:
+    def __init__(self, ground_size: int, rows: tuple[int, ...]) -> None:
+        if len(rows) != ground_size:
             raise NotATopologyError(
-                f"{len(self.rows)} rows for a {self.ground_size}-element ground set"
+                f"{len(rows)} rows for a {ground_size}-element ground set"
             )
-        full = (1 << self.ground_size) - 1
-        for x, row in enumerate(self.rows):
+        full = (1 << ground_size) - 1
+        for x, row in enumerate(rows):
             if row & ~full:
-                raise OutOfBoundsError(row, self.ground_size)
+                raise OutOfBoundsError(row, ground_size)
             if not row >> x & 1:
                 raise NotATopologyError(f"point {x} is outside its own neighbourhood {row:#x}")
-        bad = kernels.transitivity_violation(self.rows)
+        bad = kernels.transitivity_violation(rows)
         if bad is not None:
             x, y, z = bad
             raise NotATopologyError(
                 f"point {y} is in the neighbourhood of {x} and {z} in that of {y}, "
                 f"but {z} is not in that of {x}"
             )
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def full_mask(self) -> int:
@@ -83,6 +84,21 @@ class Topology:
         return True
 
 
+def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:
+    """A :class:`Topology` built without validation.
+
+    Only for rows that are a preorder by construction: meets of a family
+    of sets (each U_x is the meet of the members holding x), the trace of
+    a valid topology, and the discrete and indiscrete rows.  Rows from
+    outside, including a :class:`Preorder`'s, which that class does not
+    validate, go through the validating constructor.
+    """
+    t = object.__new__(Topology)
+    object.__setattr__(t, "ground_size", ground_size)
+    object.__setattr__(t, "rows", rows)
+    return t
+
+
 class SubbasisRole(Enum):
     AS_OPEN_SUBBASIS = "open"
     AS_CLOSED_SUBBASIS = "closed"
@@ -103,11 +119,13 @@ def _meet_into(rows: list[int], s: int) -> None:
 
 
 def discrete(ground_size: int) -> Topology:
-    return Topology(ground_size, tuple(1 << x for x in range(ground_size)))
+    if ground_size < 0:
+        raise NotATopologyError(f"negative ground size {ground_size}")
+    return _preorder_rows(ground_size, tuple(1 << x for x in range(ground_size)))
 
 
 def indiscrete(ground_size: int) -> Topology:
-    return Topology(ground_size, ((1 << ground_size) - 1,) * ground_size)
+    return _preorder_rows(ground_size, ((1 << ground_size) - 1,) * ground_size)
 
 
 def from_opens(ground_size: int, opens: Iterable[int]) -> Topology:
@@ -142,7 +160,7 @@ def from_opens(ground_size: int, opens: Iterable[int]) -> Topology:
         for u in rows:
             if m | u not in members:
                 raise NotATopologyError(f"union of {m:#x} and {u:#x} is not open")
-    return Topology(ground_size, tuple(rows))
+    return _preorder_rows(ground_size, tuple(rows))
 
 
 def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topology:
@@ -160,7 +178,7 @@ def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topol
         if role is SubbasisRole.AS_CLOSED_SUBBASIS:
             s = full & ~s
         _meet_into(rows, s)
-    return Topology(ground_size, tuple(rows))
+    return _preorder_rows(ground_size, tuple(rows))
 
 
 def upper_topology(p: Preorder) -> Topology:
@@ -195,8 +213,7 @@ def order_topology(p: Preorder) -> Topology:
     return generate(p.n, sets, SubbasisRole.AS_OPEN_SUBBASIS)
 
 
-@dataclass(frozen=True)
-class FinerVerdict:
+class FinerVerdict(NamedTuple):
     ok: bool
     missing_open: int | None = None
 
@@ -269,7 +286,7 @@ def subspace(t: Topology, mask: int) -> Topology:
             if trace >> j & 1:
                 compact |= 1 << pos
         rows.append(compact)
-    return Topology(len(kept), tuple(rows))
+    return _preorder_rows(len(kept), tuple(rows))
 
 
 def random_topology_between(lower: Topology, seed: int, extra_sets: int) -> Topology:
@@ -279,4 +296,4 @@ def random_topology_between(lower: Topology, seed: int, extra_sets: int) -> Topo
     rows = list(lower.rows)
     for _ in range(extra_sets):
         _meet_into(rows, rng.randrange(full + 1))
-    return Topology(lower.ground_size, tuple(rows))
+    return _preorder_rows(lower.ground_size, tuple(rows))

@@ -18,7 +18,8 @@ from ordtop.errors import (
     TooLargeError,
     UnknownLabelError,
 )
-from ordtop.preorders import ContourKind, PairClass, SetDirection
+from ordtop.preorders import ContourKind, PairClass, SetDirection, _szpilrajn_from_classes
+from ordtop.theorems import all_preorders, default_labels
 
 
 @st.composite
@@ -239,6 +240,16 @@ def test_szpilrajn_postconditions_seeded():
             assert ext.leq(a, b) and not ext.leq(b, a)
         # determinism
         assert ext == ot.szpilrajn_extension(p, forced, seed=trial)
+
+
+def test_szpilrajn_core_on_a_shared_quotient_draws_the_same_extensions():
+    for n in range(1, 5):
+        for p in all_preorders(default_labels(n)):
+            q = ot.quotient(p)
+            for seed in (0, 1, 8191 * 5 + 3):
+                assert _szpilrajn_from_classes(p, q, q.order.rows, seed) == (
+                    ot.szpilrajn_extension(p, seed=seed)
+                )
 
 
 def test_szpilrajn_inconsistent_forcing(chain3, equiv2, antichain2):

@@ -1,0 +1,111 @@
+"""Record types: start-up cost, immutability, repr, equality and hashing.
+
+The records are plain classes and ``typing.NamedTuple``s, so that importing
+the CLI stays free of ``dataclasses`` and the modules it loads.
+"""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import ordtop as ot
+from ordtop.errors import DomainMismatchError
+from ordtop.representations import ValueFunction
+from ordtop.theorems import TheoremReport, TheoremViolation
+from ordtop.topologies import FinerVerdict, Topology
+
+SRC = Path(ot.__file__).resolve().parent.parent
+
+LAYERS = (
+    "ordtop.kernels",
+    "ordtop.preorders",
+    "ordtop.topologies",
+    "ordtop.representations",
+    "ordtop.theorems",
+    "ordtop.instances",
+    "ordtop.cli",
+)
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    probe = (
+        "import json, sys, ordtop.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('dataclasses', 'inspect', 'ordtop'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert set(LAYERS) <= loaded
+
+
+def test_records_refuse_assignment(vee):
+    t = ot.alexandrov_topology(vee)
+    f = ValueFunction(("a",), (Fraction(1),))
+    verdict = FinerVerdict(False, 1)
+    for obj, name in ((vee, "rows"), (vee, "cols"), (vee, "extra"), (t, "rows"),
+                      (t, "extra"), (f, "values"), (verdict, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for obj, name in ((vee, "elements"), (t, "ground_size"), (f, "elements")):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vee.rows == (0b101, 0b110, 0b100) and t.rows == vee.rows
+
+
+def test_record_reprs(vee):
+    assert repr(vee) == "Preorder(elements=('a', 'b', 'c'), rows=(5, 6, 4))"
+    assert repr(ot.alexandrov_topology(vee)) == "Topology(ground_size=3, rows=(5, 6, 4))"
+    assert repr(FinerVerdict(True)) == "FinerVerdict(ok=True, missing_open=None)"
+    assert str(FinerVerdict(False, 3)) == "FinerVerdict(ok=False, missing_open=3)"
+    assert repr(ValueFunction(("a",), (Fraction(1, 2),))) == (
+        "ValueFunction(elements=('a',), values=(Fraction(1, 2),))"
+    )
+    violation = TheoremViolation("t", "{}", {"x": "a"}, "d")
+    assert repr(TheoremReport("t", 2, 1, (violation,), 0.5)) == (
+        "TheoremReport(theorem_id='t', instances_checked=2, non_vacuous=1, "
+        "violations=(TheoremViolation(theorem_id='t', instance='{}', "
+        "params={'x': 'a'}, detail='d'),), elapsed=0.5)"
+    )
+
+
+def test_equality_and_hash_see_only_the_fields(vee):
+    read = ot.Preorder(vee.elements, vee.rows)
+    assert read.cols and read.index("b") == 1  # fills the lazy attributes
+    fresh = ot.Preorder(vee.elements, vee.rows)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != (vee.elements, vee.rows)
+    t = ot.alexandrov_topology(vee)
+    assert t.opens  # computed on demand, never stored
+    twin = Topology(3, vee.rows)
+    assert t == twin and hash(t) == hash(twin)
+    assert t != (3, vee.rows) and t != vee and vee != t
+    assert ot.discrete(2) != ot.indiscrete(2)
+    assert len({read, fresh, t, twin}) == 2
+
+
+def test_value_function_checks_its_length():
+    with pytest.raises(DomainMismatchError, match="2 values for 1 elements"):
+        ValueFunction(("a",), (Fraction(0), Fraction(1)))
+
+
+def test_records_copy_and_pickle(vee):
+    vee.cols  # a lazy attribute travels along or is recomputed; either is equal
+    t = ot.alexandrov_topology(vee)
+    f = ValueFunction(vee.elements, (Fraction(0), Fraction(1, 3), Fraction(2)))
+    for obj in (vee, t, f, FinerVerdict(False, 4)):
+        assert copy.copy(obj) == obj
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert pickle.loads(pickle.dumps(vee)).cols == vee.cols

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import ordtop as ot
+from ordtop import kernels
 from ordtop.errors import (
     EmptySubspaceError,
     GroundMismatchError,
@@ -46,6 +47,12 @@ def brute_verify_topology(t: Topology) -> None:
         for b in opens:
             assert a | b in opens
             assert a & b in opens
+
+
+def assert_rows_checked(t: Topology) -> None:
+    """Rows built without validation are a preorder all the same."""
+    assert kernels.transitivity_violation(t.rows) is None
+    assert Topology(t.ground_size, t.rows) == t
 
 
 def opens_as_labelsets(p, t):
@@ -245,6 +252,9 @@ def test_rows_must_form_a_preorder():
     with pytest.raises(OutOfBoundsError):
         Topology(2, (0b101, 0b10))
     assert Topology(3, (0b011, 0b010, 0b111)).opens == (0, 0b010, 0b011, 0b111)
+    with pytest.raises(NotATopologyError):
+        ot.discrete(-1)
+    assert ot.discrete(0) == Topology(0, ())
 
 
 # --- differential checks against the closure oracle ---------------------------
@@ -262,8 +272,12 @@ def test_generate_matches_brute_closure():
         sets = random_family(rng, ground)
         t = ot.generate(g, sets, SubbasisRole.AS_OPEN_SUBBASIS)
         assert list(t.opens) == brute_family_closure(sets, ground)
+        assert_rows_checked(t)
         t = ot.generate(g, sets, SubbasisRole.AS_CLOSED_SUBBASIS)
         assert list(t.opens) == brute_family_closure([ground & ~s for s in sets], ground)
+        assert_rows_checked(t)
+        for t in (ot.discrete(g), ot.indiscrete(g)):
+            assert_rows_checked(t)
 
 
 def test_random_topology_between_matches_brute_closure():
@@ -277,6 +291,7 @@ def test_random_topology_between_matches_brute_closure():
         members = list(lower.opens) + [draws.randrange(ground + 1) for _ in range(extra)]
         t = ot.random_topology_between(lower, seed, extra)
         assert list(t.opens) == brute_family_closure(members, ground)
+        assert_rows_checked(t)
 
 
 def test_subspace_matches_brute_traces():
@@ -290,7 +305,9 @@ def test_subspace_matches_brute_traces():
         traces = set()
         for o in brute_family_closure(t.opens, ground):
             traces.add(sum(1 << pos for pos, i in enumerate(kept) if o >> i & 1))
-        assert list(ot.subspace(t, mask).opens) == sorted(traces)
+        trace = ot.subspace(t, mask)
+        assert list(trace.opens) == sorted(traces)
+        assert_rows_checked(trace)
 
 
 def test_closure_and_interior_match_definitions():
@@ -351,6 +368,7 @@ def test_from_opens_accepts_exactly_closed_families():
             rejected += 1
         else:
             assert is_topology and list(t.opens) == sorted(family)
+            assert_rows_checked(t)
             accepted += 1
     assert accepted > 50 and rejected > 50
 
