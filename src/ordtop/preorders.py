@@ -119,7 +119,8 @@ class Preorder(_Record):
     """Immutable finite preorder; construct via :func:`build_preorder`.
 
     Its fields are ``elements`` and ``rows``; the instance dict also holds
-    the :class:`_lazy` attributes once they have been read.
+    ``n``, the number of elements, and the :class:`_lazy` attributes once
+    they have been read.
     """
 
     _fields = ("elements", "rows")
@@ -128,10 +129,7 @@ class Preorder(_Record):
         fields = self.__dict__
         fields["elements"] = elements
         fields["rows"] = rows
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
+        fields["n"] = len(elements)
 
     @property
     def full_mask(self) -> int:
@@ -341,14 +339,18 @@ def width(p: Preorder) -> WidthResult:
 
 
 def _total_preorder_from_class_order(p: Preorder, q: Quotient, order: Sequence[int]) -> Preorder:
-    rank = {c: pos for pos, c in enumerate(order)}
-    n = p.n
-    rows = [0] * n
-    for i in range(n):
-        ri = rank[q.class_of[p.elements[i]]]
-        for j in range(n):
-            if ri <= rank[q.class_of[p.elements[j]]]:
-                rows[i] |= 1 << j
+    """The total preorder on p's elements that ranks q's classes by ``order``,
+    lowest first: each element's row is the union of its class and of every
+    class after it."""
+    rows = [0] * p.n
+    above = 0
+    for c in reversed(order):
+        m = q.class_masks[c]
+        above |= m
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] = above
+            m ^= low
     return Preorder(p.elements, tuple(rows))
 
 

@@ -405,18 +405,22 @@ def _lsc_rp_keys(p: Preorder, t: Topology) -> tuple[PreorderScVerdict, list[list
     """Core of :func:`construct_finite_lsc_rp_multiutility`.
 
     Returns the lower-semicontinuity verdict of ``p`` in ``t`` and, when it
-    holds, the family as integer rows (row i is g_i on the element order);
-    the rows are empty otherwise.  The values are integers, so each row is
-    its own integer keys.
+    holds, the family as :func:`_lsc_rp_rows`; the rows are empty otherwise.
     """
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     sc = preorder_semicontinuity(p, t, Sense.LOWER)
-    if not sc.ok:
-        return sc, []
+    return sc, (_lsc_rp_rows(p) if sc.ok else [])
+
+
+def _lsc_rp_rows(p: Preorder) -> list[list[int]]:
+    """The family of :func:`construct_finite_lsc_rp_multiutility` as integer
+    rows (row i is g_i on the element order).  It depends on ``p`` alone;
+    the topology decides only whether it is returned.  The values are
+    integers, so each row is its own integer keys.
+    """
     f = _rp_utility_keys(p)
     scale = max(f) + 1
     raised = [v + scale for v in f]
     positions = range(p.n)
-    rows = [[f[j] if below >> j & 1 else raised[j] for j in positions] for below in p.cols]
-    return sc, rows
+    return [[f[j] if below >> j & 1 else raised[j] for j in positions] for below in p.cols]

@@ -12,7 +12,7 @@ import functools
 import json
 import random
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ordtop import instances
 from ordtop.errors import (
@@ -24,6 +24,7 @@ from ordtop.errors import (
 )
 from ordtop.preorders import (
     Preorder,
+    Quotient,
     _szpilrajn_from_classes,
     build_preorder,
     enumerate_linear_extensions,
@@ -33,9 +34,11 @@ from ordtop.preorders import (
     restrict,
 )
 from ordtop.representations import (
+    PreorderScVerdict,
+    RepVerdict,
     Sense,
     _key_level_sets,
-    _lsc_rp_keys,
+    _lsc_rp_rows,
     _rp_verdict,
     _sc_verdict,
     preorder_semicontinuity,
@@ -125,14 +128,16 @@ def _violation(
 
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
-    return _lsc_iff_upper(p, t, upper_topology(p), time.perf_counter())
+    started = time.perf_counter()
+    lsc = preorder_semicontinuity(p, t, Sense.LOWER).ok
+    return _lsc_iff_upper(p, t, upper_topology(p), lsc, started)
 
 
-def _lsc_iff_upper(p: Preorder, t: Topology, tu: Topology, started: float) -> TheoremReport:
-    """Core of :func:`check_lsc_iff_upper`; ``tu`` is ``upper_topology(p)``."""
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
-    lhs = preorder_semicontinuity(p, t, Sense.LOWER).ok
+def _lsc_iff_upper(
+    p: Preorder, t: Topology, tu: Topology, lhs: bool, started: float
+) -> TheoremReport:
+    """Core of :func:`check_lsc_iff_upper`; ``tu`` is ``upper_topology(p)``
+    and ``lhs`` whether ``p`` is lower semicontinuous in ``t``."""
     rhs = is_finer(t, tu).ok
     violations = []
     if lhs != rhs:
@@ -152,16 +157,32 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     before the refinement conclusion is asserted; an obstruction makes the
     instance a vacuous pass (after confirming the obstruction itself).
     """
-    return _scott_necessity(p, t, None, time.perf_counter())
+    started = time.perf_counter()
+    sc = preorder_semicontinuity(p, t, Sense.LOWER)
+    return _scott_necessity(p, t, sc, _scott_family(p) if sc.ok else None, None, started)
+
+
+def _scott_family(p: Preorder) -> tuple[list[tuple[list[int], list[int]]], RepVerdict]:
+    """The family of :func:`construct_finite_lsc_rp_multiutility` as its
+    members' level sets, and its Richter-Peleg verdict; both depend on
+    ``p`` alone."""
+    levels = [_key_level_sets(row) for row in _lsc_rp_rows(p)]
+    return levels, _rp_verdict(levels, p)
 
 
 def _scott_necessity(
-    p: Preorder, t: Topology, scott: Topology | None, started: float
+    p: Preorder,
+    t: Topology,
+    sc: PreorderScVerdict,
+    family: tuple[list[tuple[list[int], list[int]]], RepVerdict] | None,
+    scott: Topology | None,
+    started: float,
 ) -> TheoremReport:
-    """Core of :func:`check_scott_necessity`; ``scott`` is ``scott_topology(p)``
-    when the caller already has it, else it is computed here when needed."""
-    # The family of construct_finite_lsc_rp_multiutility, as integer rows.
-    sc, rows = _lsc_rp_keys(p, t)
+    """Core of :func:`check_scott_necessity`.  ``sc`` is the lower
+    semicontinuity verdict of ``p`` in ``t``, and ``family`` is
+    :func:`_scott_family` of ``p`` whenever ``sc`` holds.  ``scott`` is
+    ``scott_topology(p)`` when the caller already has it, else it is
+    computed here when needed."""
     violations = []
     if not sc.ok:
         assert sc.contour is not None
@@ -173,9 +194,8 @@ def _scott_necessity(
                 )
             )
         return _report("scott-necessity", 1, 0, violations, started)
-    # Each member's level sets feed both re-checks.
-    levels = [_key_level_sets(row) for row in rows]
-    verdict = _rp_verdict(levels, p)
+    assert family is not None
+    levels, verdict = family
     if not verdict.ok:
         violations.append(
             _violation("scott-necessity", p, t,
@@ -226,7 +246,10 @@ def check_linear_extensions_lsc(
     p: Preorder, t: Topology, samples: int, seed: int
 ) -> TheoremReport:
     """Above the Alexandrov topology every linear extension is lower semicontinuous."""
-    return _linear_extensions_lsc(p, t, samples, seed, None, time.perf_counter())
+    started = time.perf_counter()
+    if p.n != t.ground_size:
+        raise GroundMismatchError(p.n, t.ground_size)
+    return _linear_extensions_lsc(p, t, samples, seed, alexandrov_topology(p), None, None, started)
 
 
 def _linear_extensions_lsc(
@@ -234,19 +257,21 @@ def _linear_extensions_lsc(
     t: Topology,
     samples: int,
     seed: int,
+    ta: Topology,
     extensions: Sequence[Preorder] | None,
+    q: Quotient | None,
     started: float,
 ) -> TheoremReport:
-    """Core of :func:`check_linear_extensions_lsc`.
+    """Core of :func:`check_linear_extensions_lsc`; ``ta`` is
+    ``alexandrov_topology(p)``.
 
     ``extensions`` is a prefix of ``enumerate_linear_extensions(p, limit)``
     for some limit above ``samples`` when the caller already has one, else
     the extensions are enumerated here.  The enumeration is deterministic,
-    so both routes see the same list.
+    so both routes see the same list.  ``q`` is ``quotient(p)`` when the
+    caller already has it, else it is computed here when needed.
     """
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
-    fin = is_finer(t, alexandrov_topology(p))
+    fin = is_finer(t, ta)
     if not fin.ok:
         raise PremiseFailedError(
             "topology is not finer than the Alexandrov topology", fin.missing_open
@@ -259,7 +284,8 @@ def _linear_extensions_lsc(
     if len(exts) > samples:
         # Without forced pairs the extension draws on the quotient's own
         # rows, so one quotient serves every sample.
-        q = quotient(p)
+        if q is None:
+            q = quotient(p)
         exts = [
             _szpilrajn_from_classes(p, q, q.order.rows, seed * 8191 + i)
             for i in range(samples)
@@ -289,17 +315,26 @@ def check_chain_restriction(
     against every linear extension.
     """
     started = time.perf_counter()
+    if p.n != t.ground_size:
+        raise GroundMismatchError(p.n, t.ground_size)
+    _check_chain_and_outsider(p, chain, x)
+    exts = _every_extension(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1))
+    held = _all_extensions_lsc(exts, t)
+    violations = []
+    if held:
+        fin = _chain_refines_alexandrov(p, t, chain)
+        if not fin.ok:
+            violations.append(_chain_violation(p, t, chain, x, fin))
+    return _report("chain-restriction", 1, int(held), violations, started)
 
-    def premise(t: Topology) -> bool:
-        return _all_extensions_lsc(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT), t)
 
-    def conclusion(t: Topology, chain: int) -> FinerVerdict:
-        return _chain_refines_alexandrov(p, t, chain)
-
-    held, violation = _chain_restriction(p, t, chain, x, premise, conclusion)
-    return _report(
-        "chain-restriction", 1, int(held), [] if violation is None else [violation], started
-    )
+def _every_extension(extensions: list[Preorder]) -> list[Preorder]:
+    """``extensions``, enumerated with the limit ``_EXHAUSTIVE_LIMIT + 1``,
+    once it is known to hold every linear extension: past the limit the
+    enumeration returns only a prefix, so :class:`TooLargeError` is raised."""
+    if len(extensions) > _EXHAUSTIVE_LIMIT:
+        raise TooLargeError(_EXHAUSTIVE_LIMIT, len(extensions), what="linear extension list")
+    return extensions
 
 
 def _all_extensions_lsc(extensions: Sequence[Preorder], t: Topology) -> bool:
@@ -318,26 +353,10 @@ def _chain_refines_alexandrov(
     return is_finer(subspace(t, chain), chain_alexandrov)
 
 
-def _chain_restriction(
-    p: Preorder,
-    t: Topology,
-    chain: int,
-    x: str,
-    premise: Callable[[Topology], bool],
-    conclusion: Callable[[Topology, int], FinerVerdict],
-) -> tuple[bool, TheoremViolation | None]:
-    """Core of :func:`check_chain_restriction`: whether the premise held,
-    and the violation if the conclusion failed.
-
-    ``premise(t)`` decides whether every linear extension of ``p`` is lsc
-    in ``t``, and ``conclusion(t, chain)`` is :func:`_chain_refines_alexandrov`
-    of (p, t, chain).  The premise is called only after the instance has
-    been validated, and the conclusion only when the premise holds, so a
-    caller may compute either lazily and share it between the instances
-    that have the same (p, t), resp. (p, t, chain).
-    """
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
+def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
+    """Validate a chain-restriction instance apart from its topology: ``p``
+    within the size cap, ``chain`` a nonempty chain of ``p``, and ``x`` a
+    point outside it that is comparable to none of it."""
     if p.n > CHAIN_RESTRICTION_CAP:
         raise TooLargeError(CHAIN_RESTRICTION_CAP, p.n)
     if not chain:
@@ -364,12 +383,14 @@ def _chain_restriction(
         raise PremiseFailedError(
             f"{x!r} is comparable to a chain element", (x, p.elements[c])
         )
-    if not premise(t):
-        return False, None
-    fin = conclusion(t, chain)
-    if fin.ok:
-        return True, None
-    return True, _violation(
+
+
+def _chain_violation(
+    p: Preorder, t: Topology, chain: int, x: str, fin: FinerVerdict
+) -> TheoremViolation:
+    """The chain-restriction violation of (p, t, chain, x), whose conclusion
+    failed with ``fin``."""
+    return _violation(
         "chain-restriction", p, t,
         params={"chain": list(labels_of(p, chain)), "x": x},
         detail=f"trace open {fin.missing_open:#x} missing on the chain",
@@ -700,25 +721,33 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
 
     The checks are those of the public ``check_*`` functions (the same
     cores run), but work that depends only on p, or on (p, t), or on
-    (p, t, chain), is done once.  Each theorem's ``elapsed`` is the time
-    of its whole block per p, and work shared between theorems is
-    charged to one theorem that uses it: the six sample topologies and
-    the upper topology of p to lsc-iff-upper, the Scott topology of p to
-    topology-coincidence, the random refinement to alexandrov-antitone,
-    the linear extensions of p and the refined Alexandrov topology to
-    linear-extensions-lsc, and the (chain, outsider) enumeration, the
-    premise of each distinct t (every linear extension lsc in t), the
-    conclusion of each distinct (t, chain) and the Alexandrov topology of
-    each chain to chain-restriction.  Only the enumeration of the
-    preorders themselves is charged to no theorem.
+    (p, chain), is done once.  Sample topologies with equal rows are
+    equal, so lsc-iff-upper, scott-necessity and chain-restriction decide
+    each distinct t once; the counts are added once per sample, and a
+    violation is repeated for each equal sample, in sample order, as the
+    public checkers would report it.  Each theorem's ``elapsed`` is the
+    time of its whole block per p, and work shared between theorems is
+    charged to one theorem that uses it: the enumeration of p itself, the
+    six sample topologies, the upper topology of p and the lower
+    semicontinuity of p in each distinct t to lsc-iff-upper; the Scott topology of p to
+    topology-coincidence; the Scott family of p (its level sets and its
+    Richter-Peleg check, built once per p) to scott-necessity; the random
+    refinement to alexandrov-antitone; the linear extensions of p, its
+    quotient and the refined Alexandrov topology to linear-extensions-lsc;
+    and the (chain, outsider) enumeration and the validation of each such
+    pair, the premise of each distinct t (every linear extension lsc in
+    t), the conclusion of each distinct (t, chain) and the Alexandrov
+    topology of each chain to chain-restriction.  So the times add up to
+    the whole run.
     """
     if max_size > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
+    samples = 4  # linear extensions drawn per linear-extensions-lsc instance
+    started = time.perf_counter()
     for n in range(1, max_size + 1):
         labels = default_labels(n)
         for pi, p in enumerate(all_preorders(labels)):
-            started = time.perf_counter()
             rng = random.Random(seed * 7_777_777 + pi * 101 + n)
             tu = upper_topology(p)
             ta = alexandrov_topology(p)
@@ -730,9 +759,19 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
+            # The samples all have n points, so their rows identify them
+            # (at finite scale tu == ta).
+            distinct = {t.rows: t for t in sample_ts}
+            lsc = {
+                rows: preorder_semicontinuity(p, t, Sense.LOWER) for rows, t in distinct.items()
+            }
             tally = tallies["lsc-iff-upper"]
+            decided = {
+                rows: _lsc_iff_upper(p, t, tu, lsc[rows].ok, started)
+                for rows, t in distinct.items()
+            }
             for t in sample_ts:
-                tally.count(_lsc_iff_upper(p, t, tu, started))
+                tally.count(decided[t.rows])
             started = tally.charge(started)
 
             ts = scott_topology(p)
@@ -741,8 +780,13 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
             started = tally.charge(started)
 
             tally = tallies["scott-necessity"]
+            family = None
+            for rows, t in distinct.items():
+                if lsc[rows].ok and family is None:
+                    family = _scott_family(p)
+                decided[rows] = _scott_necessity(p, t, lsc[rows], family, ts, started)
             for t in sample_ts:
-                tally.count(_scott_necessity(p, t, ts, started))
+                tally.count(decided[t.rows])
             started = tally.charge(started)
 
             tally = tallies["alexandrov-antitone"]
@@ -750,48 +794,54 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
             started = tally.charge(started)
 
             tally = tallies["linear-extensions-lsc"]
-            exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT)
-            for t in (ta, random_topology_between(ta, rng.randrange(1 << 30), 2)):
-                tally.count(
-                    _linear_extensions_lsc(p, t, 4, rng.randrange(1 << 30), exts, started)
-                )
+            exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)
+            q = quotient(p) if len(exts) > samples else None
+            refined = random_topology_between(ta, rng.randrange(1 << 30), 2)
+            seed1 = rng.randrange(1 << 30)
+            report = _linear_extensions_lsc(p, ta, samples, seed1, ta, exts, q, started)
+            tally.count(report)
+            seed2 = rng.randrange(1 << 30)
+            if refined.rows == ta.rows and q is None:
+                # Every extension in the same topology again: only the seed
+                # that a violation records differs.
+                params = {"samples": samples, "seed": seed2}
+                violations = tuple(v._replace(params=params) for v in report.violations)
+                report = report._replace(violations=violations)
+            else:
+                report = _linear_extensions_lsc(p, refined, samples, seed2, ta, exts, q, started)
+            tally.count(report)
             started = tally.charge(started)
 
             tally = tallies["chain-restriction"]
-            # Equal topologies share one premise and one conclusion per chain
-            # (at finite scale tu == ta); the sample topologies all have n
-            # points, so their rows identify them.
-            premises: dict[tuple[int, ...], bool] = {}
-            conclusions: dict[tuple[tuple[int, ...], int], FinerVerdict] = {}
-            chain_alexandrov: dict[int, Topology] = {}
-
-            def premise(t: Topology) -> bool:
-                held = premises.get(t.rows)
-                if held is None:
-                    held = premises[t.rows] = _all_extensions_lsc(exts, t)
-                return held
-
-            def conclusion(t: Topology, chain: int) -> FinerVerdict:
-                key = (t.rows, chain)
-                fin = conclusions.get(key)
-                if fin is None:
-                    ta_chain = chain_alexandrov.get(chain)
-                    if ta_chain is None:
-                        ta_chain = alexandrov_topology(restrict(p, chain))
-                        chain_alexandrov[chain] = ta_chain
-                    fin = _chain_refines_alexandrov(p, t, chain, ta_chain)
-                    conclusions[key] = fin
-                return fin
-
+            held: dict[tuple[int, ...], Topology] | None = None  # the premise holds in these
+            failed: dict[tuple[int, ...], FinerVerdict] = {}  # conclusions of the last chain
+            last_chain = 0
             for chain, x in _chain_outsider_pairs(p):
-                for t in sample_ts:
-                    held, violation = _chain_restriction(p, t, chain, x, premise, conclusion)
-                    tally.checked += 1
-                    if held:
-                        tally.non_vacuous += 1
-                        if violation is not None:
-                            tally.violations.append(violation)
-            tally.charge(started)
+                _check_chain_and_outsider(p, chain, x)
+                if held is None:
+                    every = _every_extension(exts)
+                    held = {
+                        rows: t for rows, t in distinct.items() if _all_extensions_lsc(every, t)
+                    }
+                    held_samples = sum(t.rows in held for t in sample_ts)
+                tally.checked += len(sample_ts)
+                tally.non_vacuous += held_samples
+                # Chains ascend, so the outsiders of one chain share its conclusions.
+                if chain != last_chain and held:
+                    last_chain = chain
+                    chain_alexandrov = alexandrov_topology(restrict(p, chain))
+                    failed = {}
+                    for rows, t in held.items():
+                        fin = _chain_refines_alexandrov(p, t, chain, chain_alexandrov)
+                        if not fin.ok:
+                            failed[rows] = fin
+                if failed:
+                    for t in sample_ts:
+                        if t.rows in failed:
+                            tally.violations.append(
+                                _chain_violation(p, t, chain, x, failed[t.rows])
+                            )
+            started = tally.charge(started)
     return _finish(tallies)
 
 

@@ -18,6 +18,7 @@ from ordtop.errors import (
     TooLargeError,
     UnknownLabelError,
 )
+from ordtop import preorders as preorders_module
 from ordtop.preorders import ContourKind, PairClass, SetDirection, _szpilrajn_from_classes
 from ordtop.theorems import all_preorders, default_labels
 
@@ -250,6 +251,42 @@ def test_szpilrajn_core_on_a_shared_quotient_draws_the_same_extensions():
                 assert _szpilrajn_from_classes(p, q, q.order.rows, seed) == (
                     ot.szpilrajn_extension(p, seed=seed)
                 )
+
+
+def pairwise_class_order_lift(p, q, order):
+    """Oracle: element i lies below j when i's class ranks no higher than j's."""
+    rank = {c: pos for pos, c in enumerate(order)}
+    rows = [0] * p.n
+    for i in range(p.n):
+        ri = rank[q.class_of[p.elements[i]]]
+        for j in range(p.n):
+            if ri <= rank[q.class_of[p.elements[j]]]:
+                rows[i] |= 1 << j
+    return ot.Preorder(p.elements, tuple(rows))
+
+
+def test_class_order_lift_matches_pairwise_oracle(monkeypatch):
+    real = preorders_module._total_preorder_from_class_order
+    lifts = []
+
+    def recording(p, q, order):
+        lifted = real(p, q, order)
+        lifts.append((p, q, tuple(order), lifted))
+        return lifted
+
+    monkeypatch.setattr(preorders_module, "_total_preorder_from_class_order", recording)
+    drawn = 0
+    for n in range(1, 6):
+        for p in all_preorders(default_labels(n)):
+            ot.enumerate_linear_extensions(p, 1000)
+            q = ot.quotient(p)
+            for seed in (0, 1, 8191 * 5 + 3):
+                _szpilrajn_from_classes(p, q, q.order.rows, seed)
+                drawn += 1
+    assert len(lifts) > drawn  # every enumerated order as well as each draw
+    for p, q, order, lifted in lifts:
+        assert sorted(order) == list(range(q.order.n))
+        assert lifted == pairwise_class_order_lift(p, q, order)
 
 
 def test_szpilrajn_inconsistent_forcing(chain3, equiv2, antichain2):

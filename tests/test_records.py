@@ -54,7 +54,7 @@ def test_records_refuse_assignment(vee):
     t = ot.alexandrov_topology(vee)
     f = ValueFunction(("a",), (Fraction(1),))
     verdict = FinerVerdict(False, 1)
-    for obj, name in ((vee, "rows"), (vee, "cols"), (vee, "extra"), (t, "rows"),
+    for obj, name in ((vee, "rows"), (vee, "cols"), (vee, "n"), (vee, "extra"), (t, "rows"),
                       (t, "extra"), (f, "values"), (verdict, "ok")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -83,8 +83,10 @@ def test_record_reprs(vee):
 def test_equality_and_hash_see_only_the_fields(vee):
     read = ot.Preorder(vee.elements, vee.rows)
     assert read.cols and read.index("b") == 1  # fills the lazy attributes
+    assert read.n == 3 and "n" not in ot.Preorder._fields  # stored, but not a field
     fresh = ot.Preorder(vee.elements, vee.rows)
     assert read == fresh and hash(read) == hash(fresh)
+    assert hash(read) == hash((vee.elements, vee.rows))
     assert read != (vee.elements, vee.rows)
     t = ot.alexandrov_topology(vee)
     assert t.opens  # computed on demand, never stored
@@ -109,3 +111,7 @@ def test_records_copy_and_pickle(vee):
         assert copy.deepcopy(obj) == obj
         assert pickle.loads(pickle.dumps(obj)) == obj
     assert pickle.loads(pickle.dumps(vee)).cols == vee.cols
+    assert vee.n == 3
+    assert vee.__reduce__() == (ot.Preorder, (vee.elements, vee.rows))
+    for twin in (copy.copy(vee), copy.deepcopy(vee), pickle.loads(pickle.dumps(vee))):
+        assert twin.n == 3 and twin == vee and hash(twin) == hash(vee)

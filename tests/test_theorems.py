@@ -375,3 +375,83 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
     assert answers(suite) == answers(reference_suite(3, 0))
     by_id = {r.theorem_id: r for r in suite.reports}
     assert len(by_id["chain-restriction"].violations) > 0
+
+
+def test_exhaustive_premise_refuses_a_truncated_extension_list(monkeypatch):
+    antichain4 = ot.build_preorder(default_labels(4))  # 4! = 24 linear extensions
+    chain = ot.mask_of(antichain4, "a")
+    monkeypatch.setattr(theorems, "_EXHAUSTIVE_LIMIT", 24)
+    assert check_chain_restriction(antichain4, ot.discrete(4), chain, "b").premise_held
+    monkeypatch.setattr(theorems, "_EXHAUSTIVE_LIMIT", 5)
+    with pytest.raises(TooLargeError) as public:
+        check_chain_restriction(antichain4, ot.discrete(4), chain, "b")
+    assert (public.value.limit, public.value.actual) == (5, 6)
+    # The suite meets the 3-element antichain (3! = 6 extensions) first.
+    with pytest.raises(TooLargeError) as suite:
+        theorems.run_theorem_suite(max_size=4, seed=0)
+    assert (suite.value.limit, suite.value.actual) == (5, 6)
+
+
+def _answers(suite):
+    return [
+        (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
+        for r in suite.reports
+    ]
+
+
+def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
+    # One verdict per (p, t) serves lsc-iff-upper and scott-necessity; a
+    # verdict shared across different topologies would miss the discrete one.
+    # The witness depends on the rows, so the linear extensions checked in
+    # the discrete topology show in the violations too.
+    real = theorems.preorder_semicontinuity
+
+    def fails_when_discrete(p, t, sense):
+        if t == ot.discrete(t.ground_size):
+            i = p.rows[0].bit_count() - 1
+            return representations.PreorderScVerdict(False, p.elements[i], p.cols[i])
+        return real(p, t, sense)
+
+    monkeypatch.setattr(theorems, "preorder_semicontinuity", fails_when_discrete)
+    suite = theorems.run_theorem_suite(max_size=3, seed=0)
+    assert _answers(suite) == _answers(reference_suite(3, 0))
+    by_id = {r.theorem_id: r for r in suite.reports}
+    assert by_id["lsc-iff-upper"].violations and by_id["scott-necessity"].violations
+
+
+def test_suite_checks_scott_family_members_in_each_topology(monkeypatch):
+    # The family is built once per p, but its members are checked in every
+    # distinct t.
+    real = theorems._sc_verdict
+
+    def fails_when_discrete(elements, below, above, t, sense):
+        if t == ot.discrete(t.ground_size):
+            return representations.ScVerdict(False, elements[0], below[0])
+        return real(elements, below, above, t, sense)
+
+    monkeypatch.setattr(theorems, "_sc_verdict", fails_when_discrete)
+    suite = theorems.run_theorem_suite(max_size=3, seed=0)
+    assert _answers(suite) == _answers(reference_suite(3, 0))
+    by_id = {r.theorem_id: r for r in suite.reports}
+    assert by_id["scott-necessity"].violations
+
+
+def test_suite_validates_every_chain_outsider_pair(monkeypatch):
+    # The invalid pair shares its chain with a valid one, so validating once
+    # per p or once per chain would let it through.
+    real = theorems._chain_outsider_pairs
+    antichain3 = ot.build_preorder(default_labels(3))
+
+    def with_one_invalid_pair(p):
+        for chain, x in real(p):
+            yield chain, x
+            if p == antichain3 and (chain, x) == (1, "b"):
+                yield 1, "a"  # the outsider lies inside the chain
+
+    monkeypatch.setattr(theorems, "_chain_outsider_pairs", with_one_invalid_pair)
+    with pytest.raises(PremiseFailedError) as suite:
+        theorems.run_theorem_suite(max_size=3, seed=0)
+    with pytest.raises(PremiseFailedError) as reference:
+        reference_suite(3, 0)
+    assert suite.value.reason == reference.value.reason == "'a' lies inside the chain"
+    assert suite.value.args == reference.value.args
