@@ -142,14 +142,7 @@ class Preorder(_Record):
     @_lazy
     def cols(self) -> tuple[int, ...]:
         """cols[j] = mask of {i : element i <= element j}."""
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            m = r
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return tuple(kernels._columns(self.rows))
 
     def index(self, label: str) -> int:
         try:
@@ -315,14 +308,11 @@ def quotient(p: Preorder) -> Quotient:
             class_masks.append(m)
             reps.append(i)
         class_of[p.elements[i]] = class_id[m]
-    k = len(class_masks)
     labels = tuple(",".join(sorted(labels_of(p, m))) for m in class_masks)
-    rows = [0] * k
-    for ci in range(k):
-        for cj in range(k):
-            if p.leq_idx(reps[ci], reps[cj]):
-                rows[ci] |= 1 << cj
-    return Quotient(Preorder(labels, tuple(rows)), class_of, tuple(class_masks))
+    rows = tuple(
+        sum(1 << cj for cj, rep in enumerate(reps) if p.rows[ri] >> rep & 1) for ri in reps
+    )
+    return Quotient(Preorder(labels, rows), class_of, tuple(class_masks))
 
 
 class WidthResult(NamedTuple):
@@ -338,20 +328,35 @@ def width(p: Preorder) -> WidthResult:
     return WidthResult(mask.bit_count(), mask)
 
 
-def _total_preorder_from_class_order(p: Preorder, q: Quotient, order: Sequence[int]) -> Preorder:
-    """The total preorder on p's elements that ranks q's classes by ``order``,
-    lowest first: each element's row is the union of its class and of every
-    class after it."""
-    rows = [0] * p.n
-    above = 0
-    for c in reversed(order):
+def _class_order_rows_cols(n: int, q: Quotient, order: Sequence[int]) -> tuple[list, list]:
+    """Rows and columns of the total preorder on n elements that ranks q's
+    classes by ``order``, lowest first: each element's row is the union of
+    its class and of every class after it, its column (its weak lower
+    contour) the union of its class and of every class before it."""
+    full = (1 << n) - 1
+    rows = [0] * n
+    cols = [0] * n
+    below = 0
+    for c in order:
         m = q.class_masks[c]
-        above |= m
+        above = full ^ below
+        below |= m
         while m:
             low = m & -m
-            rows[low.bit_length() - 1] = above
+            i = low.bit_length() - 1
+            rows[i] = above
+            cols[i] = below
             m ^= low
-    return Preorder(p.elements, tuple(rows))
+    return rows, cols
+
+
+def _total_preorder_from_class_order(p: Preorder, q: Quotient, order: Sequence[int]) -> Preorder:
+    """The total preorder on p's elements that ranks q's classes by ``order``,
+    with its columns stored."""
+    rows, cols = _class_order_rows_cols(p.n, q, order)
+    e = Preorder(p.elements, tuple(rows))
+    e.__dict__["cols"] = tuple(cols)
+    return e
 
 
 def szpilrajn_extension(
@@ -381,40 +386,28 @@ def szpilrajn_extension(
             if class_rows[ci] >> cj & 1 and class_rows[cj] >> ci & 1:
                 pair = (q.order.elements[ci], q.order.elements[cj])
                 raise InconsistentForcingError(pair, "forced pairs create a cycle")
-    return _szpilrajn_from_classes(p, q, class_rows, seed)
+    order = _szpilrajn_class_order(kernels._columns(class_rows), seed)
+    return _total_preorder_from_class_order(p, q, order)
 
 
-def _szpilrajn_from_classes(
-    p: Preorder, q: Quotient, class_rows: Sequence[int], seed: int
-) -> Preorder:
-    """Core of :func:`szpilrajn_extension`: ``q`` is ``quotient(p)`` and
-    ``class_rows`` a transitive, antisymmetric relation on its classes that
-    contains ``q.order.rows``.  Without forced pairs that is ``q.order.rows``
-    itself, so a caller drawing many extensions of one preorder computes
-    the quotient once."""
-    k = q.order.n
+def _szpilrajn_class_order(class_cols: Sequence[int], seed: int) -> list[int]:
+    """Core of :func:`szpilrajn_extension`: the drawn class order, lowest
+    first.  ``class_cols`` are the columns of a reflexive, transitive,
+    antisymmetric relation on the classes of ``quotient(p)`` that contains
+    its order; without forced pairs they are ``quotient(p).order.cols``, so
+    a caller drawing many extensions of one preorder computes them once.
+    A class is a source when its column meets the remaining classes in
+    itself alone."""
+    k = len(class_cols)
     rng = random.Random(seed)
     remaining = (1 << k) - 1
     order: list[int] = []
     while remaining:
-        sources = []
-        m = remaining
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            below = 0
-            m2 = remaining & ~(1 << c)
-            while m2:
-                d = (m2 & -m2).bit_length() - 1
-                m2 &= m2 - 1
-                if class_rows[d] >> c & 1:
-                    below |= 1 << d
-            if not below:
-                sources.append(c)
+        sources = [c for c in range(k) if class_cols[c] & remaining == 1 << c]
         pick = sources[rng.randrange(len(sources))]
         order.append(pick)
         remaining &= ~(1 << pick)
-    return _total_preorder_from_class_order(p, q, order)
+    return order
 
 
 def enumerate_linear_extensions(p: Preorder, limit: int) -> list[Preorder]:
@@ -429,7 +422,7 @@ def enumerate_linear_extensions(p: Preorder, limit: int) -> list[Preorder]:
         raise ValueError("limit must be at least 1")
     q = quotient(p)
     k = q.order.n
-    class_rows = q.order.rows
+    class_cols = q.order.cols
     results: list[Preorder] = []
     acc: list[int] = []
 
@@ -440,17 +433,8 @@ def enumerate_linear_extensions(p: Preorder, limit: int) -> list[Preorder]:
             results.append(_total_preorder_from_class_order(p, q, acc))
             return
         for c in range(k):
-            if not remaining >> c & 1:
-                continue
-            blocked = False
-            m = remaining & ~(1 << c)
-            while m:
-                d = (m & -m).bit_length() - 1
-                m &= m - 1
-                if class_rows[d] >> c & 1:
-                    blocked = True
-                    break
-            if blocked:
+            # c is next when no other remaining class lies below it
+            if class_cols[c] & remaining != 1 << c:
                 continue
             acc.append(c)
             dfs(remaining & ~(1 << c))

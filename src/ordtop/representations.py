@@ -26,7 +26,7 @@ from ordtop.errors import (
     NotTotalError,
 )
 from ordtop.preorders import ContourKind, Preorder, _Record, contour, quotient
-from ordtop.topologies import Topology, is_closed
+from ordtop.topologies import Topology, _first_not_closed
 
 
 class ValueFunction(_Record):
@@ -257,18 +257,12 @@ def semicontinuity(f: ValueFunction, t: Topology, sense: Sense) -> ScVerdict:
             f"{len(f.elements)} elements vs ground size {t.ground_size}"
         )
     below, above = _level_sets(f)
-    return _sc_verdict(f.elements, below, above, t, sense)
-
-
-def _sc_verdict(
-    elements: tuple[str, ...], below: list[int], above: list[int], t: Topology, sense: Sense
-) -> ScVerdict:
-    """Core of :func:`semicontinuity`, on the function's level sets."""
     senses = (Sense.LOWER, Sense.UPPER) if sense is Sense.BOTH else (sense,)
     for s in senses:
-        for x, level in enumerate(below if s is Sense.LOWER else above):
-            if not is_closed(t, level):
-                return ScVerdict(False, elements[x], level)
+        levels = below if s is Sense.LOWER else above
+        x = _first_not_closed(t.rows, levels)
+        if x >= 0:
+            return ScVerdict(False, f.elements[x], levels[x])
     return ScVerdict(True)
 
 
@@ -285,9 +279,10 @@ def preorder_semicontinuity(p: Preorder, t: Topology, sense: Sense) -> PreorderS
     if sense is Sense.BOTH:
         raise ValueError("preorder semicontinuity is checked one sense at a time")
     # The weak lower contour of element i is p.cols[i]; the weak upper one is p.rows[i].
-    for i, c in enumerate(p.cols if sense is Sense.LOWER else p.rows):
-        if not is_closed(t, c):
-            return PreorderScVerdict(False, p.elements[i], c)
+    contours = p.cols if sense is Sense.LOWER else p.rows
+    i = _first_not_closed(t.rows, contours)
+    if i >= 0:
+        return PreorderScVerdict(False, p.elements[i], contours[i])
     return PreorderScVerdict(True)
 
 

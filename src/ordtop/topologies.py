@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from ordtop import kernels
 from ordtop.errors import (
@@ -182,9 +182,8 @@ def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topol
 
 
 def upper_topology(p: Preorder) -> Topology:
-    """Closed sets generated by the weak lower contours."""
-    contours = [contour(p, a, ContourKind.WEAK_LOWER) for a in p.elements]
-    return generate(p.n, contours, SubbasisRole.AS_CLOSED_SUBBASIS)
+    """Closed sets generated by the weak lower contours, the columns of ``p``."""
+    return generate(p.n, p.cols, SubbasisRole.AS_CLOSED_SUBBASIS)
 
 
 def alexandrov_topology(p: Preorder) -> Topology:
@@ -234,17 +233,24 @@ def is_finer(t1: Topology, t2: Topology) -> FinerVerdict:
 
 def is_closed(t: Topology, mask: int) -> bool:
     """The complement is open: no point outside ``mask`` has U_x meeting it."""
-    full = (1 << t.ground_size) - 1
-    if mask & ~full:
-        raise OutOfBoundsError(mask, t.ground_size)
-    rows = t.rows
-    m = full ^ mask
-    while m:
-        low = m & -m
-        if rows[low.bit_length() - 1] & mask:
-            return False
-        m ^= low
-    return True
+    _check_mask(t.ground_size, mask)
+    return _first_not_closed(t.rows, (mask,)) < 0
+
+
+def _first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
+    """Index of the first of ``masks`` that is not closed in the topology
+    with these ``rows``, or -1 when all are; the masks lie in the ground
+    set.  The closedness kernel of :func:`is_closed` and of the
+    semicontinuity checks."""
+    full = (1 << len(rows)) - 1
+    for i, mask in enumerate(masks):
+        m = full ^ mask
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & mask:
+                return i
+            m ^= low
+    return -1
 
 
 def closure(t: Topology, mask: int) -> int:

@@ -19,7 +19,13 @@ from ordtop.errors import (
     UnknownLabelError,
 )
 from ordtop import preorders as preorders_module
-from ordtop.preorders import ContourKind, PairClass, SetDirection, _szpilrajn_from_classes
+from ordtop.preorders import (
+    ContourKind,
+    PairClass,
+    SetDirection,
+    _szpilrajn_class_order,
+    _total_preorder_from_class_order,
+)
 from ordtop.theorems import all_preorders, default_labels
 
 
@@ -248,7 +254,8 @@ def test_szpilrajn_core_on_a_shared_quotient_draws_the_same_extensions():
         for p in all_preorders(default_labels(n)):
             q = ot.quotient(p)
             for seed in (0, 1, 8191 * 5 + 3):
-                assert _szpilrajn_from_classes(p, q, q.order.rows, seed) == (
+                order = _szpilrajn_class_order(q.order.cols, seed)
+                assert _total_preorder_from_class_order(p, q, order) == (
                     ot.szpilrajn_extension(p, seed=seed)
                 )
 
@@ -281,12 +288,78 @@ def test_class_order_lift_matches_pairwise_oracle(monkeypatch):
             ot.enumerate_linear_extensions(p, 1000)
             q = ot.quotient(p)
             for seed in (0, 1, 8191 * 5 + 3):
-                _szpilrajn_from_classes(p, q, q.order.rows, seed)
+                ot.szpilrajn_extension(p, seed=seed)
                 drawn += 1
     assert len(lifts) > drawn  # every enumerated order as well as each draw
     for p, q, order, lifted in lifts:
         assert sorted(order) == list(range(q.order.n))
         assert lifted == pairwise_class_order_lift(p, q, order)
+
+
+def looped_class_orders(q, limit):
+    """Oracle: the class orders of the enumeration, finding each next class
+    by a loop over the other remaining classes."""
+    k = q.order.n
+    rows = q.order.rows
+    out, acc = [], []
+
+    def dfs(remaining):
+        if len(out) >= limit:
+            return
+        if not remaining:
+            out.append(tuple(acc))
+            return
+        for c in range(k):
+            if not remaining >> c & 1:
+                continue
+            if any(remaining >> d & 1 and rows[d] >> c & 1 for d in range(k) if d != c):
+                continue
+            acc.append(c)
+            dfs(remaining & ~(1 << c))
+            acc.pop()
+            if len(out) >= limit:
+                return
+
+    dfs((1 << k) - 1)
+    return out
+
+
+def looped_szpilrajn_class_order(class_rows, seed):
+    """Oracle: the Szpilrajn draw, finding the sources by a loop per candidate."""
+    k = len(class_rows)
+    rng = random.Random(seed)
+    remaining = (1 << k) - 1
+    order = []
+    while remaining:
+        sources = [
+            c for c in range(k)
+            if remaining >> c & 1
+            and not any(
+                remaining >> d & 1 and class_rows[d] >> c & 1 for d in range(k) if d != c
+            )
+        ]
+        pick = sources[rng.randrange(len(sources))]
+        order.append(pick)
+        remaining &= ~(1 << pick)
+    return order
+
+
+def test_extension_kernels_match_looped_oracle():
+    for n in range(1, 6):
+        for p in all_preorders(default_labels(n)):
+            q = ot.quotient(p)
+            exts = ot.enumerate_linear_extensions(p, 1000)
+            orders = looped_class_orders(q, 1000)
+            assert exts == [_total_preorder_from_class_order(p, q, o) for o in orders]
+            for e in exts:
+                assert e.cols == ot.Preorder(e.elements, e.rows).cols  # stored == lazy
+            for seed in (0, 1, 8191 * 5 + 3):
+                order = _szpilrajn_class_order(q.order.cols, seed)
+                assert order == looped_szpilrajn_class_order(q.order.rows, seed)
+                drawn = ot.szpilrajn_extension(p, seed=seed)
+                assert drawn.cols == ot.Preorder(drawn.elements, drawn.rows).cols
+    forced = ot.szpilrajn_extension(ot.build_preorder(default_labels(4)), [("d", "a")], seed=3)
+    assert forced.cols == ot.Preorder(forced.elements, forced.rows).cols
 
 
 def test_szpilrajn_inconsistent_forcing(chain3, equiv2, antichain2):

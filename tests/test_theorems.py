@@ -2,13 +2,14 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import ordtop as ot
-from ordtop import representations, theorems
+from ordtop import representations, theorems, topologies
 from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
-from ordtop.topologies import FinerVerdict
+from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
     TheoremViolation,
     all_preorders,
@@ -357,11 +358,11 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
     # alone makes any such sharing change the answers.
     real = theorems._chain_refines_alexandrov
 
-    def fails_when_discrete(p, t, chain, chain_alexandrov=None):
-        fin = real(p, t, chain, chain_alexandrov)
+    def fails_when_discrete(p, t, chain):
+        missing = real(p, t, chain)
         if t == ot.discrete(p.n):
-            return FinerVerdict(False, chain)
-        return fin
+            return chain
+        return missing
 
     monkeypatch.setattr(theorems, "_chain_refines_alexandrov", fails_when_discrete)
 
@@ -400,36 +401,39 @@ def _answers(suite):
 
 
 def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
-    # One verdict per (p, t) serves lsc-iff-upper and scott-necessity; a
-    # verdict shared across different topologies would miss the discrete one.
-    # The witness depends on the rows, so the linear extensions checked in
-    # the discrete topology show in the violations too.
-    real = theorems.preorder_semicontinuity
+    # Every lsc check (of p, of its linear extensions, of the chain-restriction
+    # premise) goes through the closedness kernel, decided per distinct t; a
+    # verdict shared across different topologies, or a premise memo keyed by
+    # the contour alone, would miss the discrete one.  The witness depends on
+    # the masks, so the linear extensions checked in the discrete topology
+    # show in the violations too.
+    real = topologies._first_not_closed
 
-    def fails_when_discrete(p, t, sense):
-        if t == ot.discrete(t.ground_size):
-            i = p.rows[0].bit_count() - 1
-            return representations.PreorderScVerdict(False, p.elements[i], p.cols[i])
-        return real(p, t, sense)
+    def fails_when_discrete(rows, masks):
+        if rows == ot.discrete(len(rows)).rows:
+            masks = list(masks)
+            return masks.index(max(masks))
+        return real(rows, masks)
 
-    monkeypatch.setattr(theorems, "preorder_semicontinuity", fails_when_discrete)
+    for module in (topologies, representations, theorems):
+        monkeypatch.setattr(module, "_first_not_closed", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
     assert _answers(suite) == _answers(reference_suite(3, 0))
     by_id = {r.theorem_id: r for r in suite.reports}
-    assert by_id["lsc-iff-upper"].violations and by_id["scott-necessity"].violations
+    assert by_id["lsc-iff-upper"].violations and by_id["linear-extensions-lsc"].violations
 
 
 def test_suite_checks_scott_family_members_in_each_topology(monkeypatch):
     # The family is built once per p, but its members are checked in every
     # distinct t.
-    real = theorems._sc_verdict
+    real = theorems._members_not_lsc
 
-    def fails_when_discrete(elements, below, above, t, sense):
+    def fails_when_discrete(t, belows, sublevels):
         if t == ot.discrete(t.ground_size):
-            return representations.ScVerdict(False, elements[0], below[0])
-        return real(elements, below, above, t, sense)
+            return [(len(belows) - 1, 0)]
+        return real(t, belows, sublevels)
 
-    monkeypatch.setattr(theorems, "_sc_verdict", fails_when_discrete)
+    monkeypatch.setattr(theorems, "_members_not_lsc", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
     assert _answers(suite) == _answers(reference_suite(3, 0))
     by_id = {r.theorem_id: r for r in suite.reports}
@@ -455,3 +459,74 @@ def test_suite_validates_every_chain_outsider_pair(monkeypatch):
         reference_suite(3, 0)
     assert suite.value.reason == reference.value.reason == "'a' lies inside the chain"
     assert suite.value.args == reference.value.args
+
+
+def label_pair_refinement(rng, p):
+    """Oracle: the refinement drawn as label pairs and closed by build_preorder."""
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(p.n)
+        b = rng.randrange(p.n)
+        if a != b:
+            extra.append((p.elements[a], p.elements[b]))
+    pairs = [
+        (p.elements[i], p.elements[j])
+        for i in range(p.n)
+        for j in range(p.n)
+        if p.leq_idx(i, j)
+    ] + extra
+    return ot.build_preorder(p.elements, pairs, autoclose=True)
+
+
+def test_random_refinement_matches_label_pair_oracle():
+    for n in range(1, 5):
+        for p in all_preorders(default_labels(n)):
+            for seed in range(4):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                assert theorems.random_refinement(rng, p) == label_pair_refinement(oracle_rng, p)
+                assert rng.random() == oracle_rng.random()  # the same draws
+
+
+def test_mask_cores_match_object_route():
+    lower = representations.Sense.LOWER
+    for n in range(1, 5):
+        for pi, p in enumerate(all_preorders(default_labels(n))):
+            chains = [
+                c for c in range(1, 1 << n)
+                if all(c & ~(p.rows[i] | p.cols[i]) == 0 for i in range(n) if c >> i & 1)
+            ]
+            q = ot.quotient(p)
+            exts = ot.enumerate_linear_extensions(p, 1000)
+            orders = [_szpilrajn_class_order(q.order.cols, s) for s in range(3)]
+            for order in orders:
+                rows, cols = _class_order_rows_cols(n, q, order)
+                assert tuple(cols) == ot.Preorder(p.elements, tuple(rows)).cols
+            premise = theorems._premise_contours(exts)
+            belows, sublevels, _ = theorems._scott_family(p)
+            members = [
+                representations.ValueFunction(p.elements, tuple(Fraction(v) for v in row))
+                for row in representations._lsc_rp_rows(p)
+            ]
+            for t in suite_topologies(p, pi, n, seed=0):
+                # Closed means an open complement, which Topology.is_open decides alone.
+                for mask in range(1 << n):
+                    closed = t.is_open(t.full_mask ^ mask)
+                    assert (topologies._first_not_closed(t.rows, [mask]) < 0) == closed
+                    assert ot.is_closed(t, mask) == closed
+                first = next(
+                    (i for i, c in enumerate(p.cols) if not t.is_open(t.full_mask ^ c)), -1
+                )
+                assert topologies._first_not_closed(t.rows, p.cols) == first
+                assert (topologies._first_not_closed(t.rows, premise) < 0) == all(
+                    ot.preorder_semicontinuity(e, t, lower).ok for e in exts
+                )
+                verdicts = [ot.semicontinuity(g, t, lower) for g in members]
+                assert theorems._members_not_lsc(t, belows, sublevels) == [
+                    (k, p.elements.index(sc.at)) for k, sc in enumerate(verdicts) if not sc.ok
+                ]
+                for chain in chains:
+                    fin = ot.is_finer(
+                        ot.subspace(t, chain), ot.alexandrov_topology(ot.restrict(p, chain))
+                    )
+                    missing = theorems._chain_refines_alexandrov(p, t, chain)
+                    assert missing == (None if fin.ok else fin.missing_open)
