@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from ordtop import errors as err
-from ordtop import topologies
+from ordtop import kernels, topologies
 from ordtop.preorders import Preorder, build_preorder, labels_of, mask_of, quotient
 from ordtop.representations import FunctionFamily, ValueFunction
 from ordtop.topologies import Topology
@@ -56,12 +56,8 @@ def make_document(
     functions: Mapping[str, ValueFunction] | None = None,
 ) -> InstanceDocument:
     """Canonical document for in-memory objects (relation fully expanded)."""
-    relation = [
-        (p.elements[i], p.elements[j])
-        for i in range(p.n)
-        for j in range(p.n)
-        if p.leq_idx(i, j)
-    ]
+    labels = p.elements
+    relation = tuple((labels[i], labels[j]) for i, j in kernels.relation_pairs(p.rows))
     spec = None
     if topology is not None:
         spec = TopologySpec("explicit", _canonical_opens(p, list(topology.opens)))
@@ -72,7 +68,7 @@ def make_document(
         )
     return InstanceDocument(
         elements=p.elements,
-        relation=_canonical_relation(p.elements, relation),
+        relation=relation,
         autoclose=False,
         topology=spec,
         functions=funcs,

@@ -3,10 +3,16 @@
 A relation is passed as ``rows`` where ``rows[i]`` is the bitmask of
 ``{j : i <= j}``; subsets of the ground set are plain int masks.  The same
 rows describe a finite topology, whose opens are exactly the up-sets
-(``rows[i]`` is then the minimal open neighbourhood of ``i``).
+(``rows[i]`` is then the minimal open neighbourhood of ``i``).  Each row
+walk that the preorder, topology, theorem and instance layers share lives
+here once; their public functions wrap it.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+from ordtop.errors import OutOfBoundsError
 
 
 def using_native() -> bool:
@@ -38,6 +44,55 @@ def transitivity_violation(rows: list[int]) -> tuple[int, int, int] | None:
                 k = (extra & -extra).bit_length() - 1
                 return (i, j, k)
     return None
+
+
+def check_mask(mask: int, n: int) -> None:
+    """Raise :class:`OutOfBoundsError` unless ``mask`` is a subset of the
+    n-point ground set."""
+    if mask >> n:
+        raise OutOfBoundsError(mask, n)
+
+
+def first_escape(rows: Sequence[int], mask: int) -> int:
+    """The first point of ``mask`` whose row leaves ``mask``, or -1 when
+    ``mask`` is closed upwards under the rows."""
+    m = mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if rows[i] & ~mask:
+            return i
+        m ^= low
+    return -1
+
+
+def compact_rows(rows: Sequence[int], mask: int) -> list[int]:
+    """The rows of the points of ``mask``, each cut down to ``mask`` and
+    re-indexed so that the k-th point of ``mask`` becomes point k."""
+    out = []
+    m = mask
+    while m:
+        low = m & -m
+        trace = rows[low.bit_length() - 1] & mask
+        compact = 0
+        while trace:
+            bit = trace & -trace
+            compact |= 1 << (mask & (bit - 1)).bit_count()
+            trace ^= bit
+        out.append(compact)
+        m ^= low
+    return out
+
+
+def relation_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair (i, j) with i <= j, in row-major order."""
+    out = []
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            out.append((i, low.bit_length() - 1))
+            r ^= low
+    return out
 
 
 def up_sets(rows: list[int]) -> list[int]:
@@ -79,52 +134,50 @@ def _columns(rows: list[int]) -> list[int]:
     return cols
 
 
-def directed_sups(rows: list[int]) -> list[tuple[int, int]]:
-    """(subset mask, supremum class mask) for every nonempty directed subset.
+def directed_sup(rows: list[int], cols: list[int], d: int) -> tuple[bool, int | None]:
+    """(directed, supremum class mask or None) of a nonempty subset ``d``.
 
-    A subset is directed when every two members have an upper bound inside
-    it; its supremum exists when the minimal upper bounds form a single
-    equivalence class.  Subsets without a supremum are omitted.
+    ``d`` is directed when every two members have an upper bound inside it:
+    member b has one in common with member a exactly when b lies below some
+    point of ``d`` above a.  The supremum is the class of a least upper
+    bound, an upper bound whose row is all of the upper bounds; there is
+    one exactly when the minimal upper bounds form a single class.
     """
-    n = len(rows)
-    full = (1 << n) - 1
+    directed = True
+    ub = (1 << len(rows)) - 1
+    m = d
+    while m:
+        low = m & -m
+        above = rows[low.bit_length() - 1]
+        ub &= above
+        if directed:
+            joined = 0
+            c = above & d
+            while c:
+                top = c & -c
+                joined |= cols[top.bit_length() - 1]
+                c ^= top
+            directed = not d & ~joined
+        m ^= low
+    m = ub
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if rows[i] == ub:
+            return directed, ub & cols[i]
+        m ^= low
+    return directed, None
+
+
+def directed_sups(rows: list[int]) -> list[tuple[int, int]]:
+    """(subset mask, supremum class mask) for every nonempty directed subset
+    that has a supremum, ascending by subset; see :func:`directed_sup`."""
     cols = _columns(rows)
-    strict_below = [cols[i] & ~rows[i] for i in range(n)]
-    eq_class = [cols[i] & rows[i] for i in range(n)]
     out = []
-    for d in range(1, 1 << n):
-        elems = []
-        m = d
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            elems.append(i)
-        directed = True
-        for ai in range(len(elems)):
-            for bi in range(ai + 1, len(elems)):
-                if not rows[elems[ai]] & rows[elems[bi]] & d:
-                    directed = False
-                    break
-            if not directed:
-                break
-        if not directed:
-            continue
-        ub = full
-        for x in elems:
-            ub &= rows[x]
-        if not ub:
-            continue
-        minima = 0
-        m = ub
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not strict_below[i] & ub:
-                minima |= 1 << i
-        m0 = (minima & -minima).bit_length() - 1
-        if minima & ~eq_class[m0]:
-            continue
-        out.append((d, eq_class[m0]))
+    for d in range(1, 1 << len(rows)):
+        directed, sup_class = directed_sup(rows, cols, d)
+        if directed and sup_class is not None:
+            out.append((d, sup_class))
     return out
 
 

@@ -26,7 +26,6 @@ from ordtop.errors import (
     NotReflexiveError,
     NotTransitiveError,
     NotTotalError,
-    OutOfBoundsError,
     TooLargeError,
     UnknownLabelError,
 )
@@ -185,19 +184,13 @@ def mask_of(p: Preorder, labels: Iterable[str]) -> int:
 
 
 def labels_of(p: Preorder, mask: int) -> tuple[str, ...]:
-    if mask & ~p.full_mask:
-        raise OutOfBoundsError(mask, p.n)
+    kernels.check_mask(mask, p.n)
     out = []
     while mask:
         i = (mask & -mask).bit_length() - 1
         mask &= mask - 1
         out.append(p.elements[i])
     return tuple(out)
-
-
-def _check_mask(p: Preorder, mask: int) -> None:
-    if mask & ~p.full_mask:
-        raise OutOfBoundsError(mask, p.n)
 
 
 def build_preorder(
@@ -274,17 +267,14 @@ class MonotoneVerdict(NamedTuple):
 
 def is_monotone_set(p: Preorder, mask: int, direction: SetDirection) -> MonotoneVerdict:
     """Check up-set / down-set closure; on failure return a violating pair."""
-    _check_mask(p, mask)
+    kernels.check_mask(mask, p.n)
     reach = p.rows if direction is SetDirection.UP else p.cols
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        escaped = reach[i] & ~mask
-        if escaped:
-            j = (escaped & -escaped).bit_length() - 1
-            return MonotoneVerdict(False, (p.elements[i], p.elements[j]))
-    return MonotoneVerdict(True)
+    i = kernels.first_escape(reach, mask)
+    if i < 0:
+        return MonotoneVerdict(True)
+    escaped = reach[i] & ~mask
+    j = (escaped & -escaped).bit_length() - 1
+    return MonotoneVerdict(False, (p.elements[i], p.elements[j]))
 
 
 class Quotient(NamedTuple):
@@ -457,58 +447,15 @@ def directed_sup(p: Preorder, mask: int) -> DirectedSupVerdict:
     The supremum exists when the minimal upper bounds of the subset form a
     single equivalence class; that class mask is returned.
     """
-    _check_mask(p, mask)
+    kernels.check_mask(mask, p.n)
     if not mask:
         raise EmptySetError("directed-set query")
-    elems = []
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        elems.append(i)
-    directed = True
-    for ai in range(len(elems)):
-        for bi in range(ai + 1, len(elems)):
-            if not p.rows[elems[ai]] & p.rows[elems[bi]] & mask:
-                directed = False
-                break
-        if not directed:
-            break
-    ub = p.full_mask
-    for i in elems:
-        ub &= p.rows[i]
-    sup_class: int | None = None
-    if ub:
-        minima = 0
-        m = ub
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not (p.cols[i] & ~p.rows[i]) & ub:
-                minima |= 1 << i
-        m0 = (minima & -minima).bit_length() - 1
-        if not minima & ~p.eq_class_idx(m0):
-            sup_class = p.eq_class_idx(m0)
-    return DirectedSupVerdict(directed, sup_class)
+    return DirectedSupVerdict(*kernels.directed_sup(p.rows, p.cols, mask))
 
 
 def restrict(p: Preorder, mask: int) -> Preorder:
     """Induced sub-preorder on the elements of ``mask`` (labels kept)."""
-    _check_mask(p, mask)
+    labels = labels_of(p, mask)
     if not mask:
         raise EmptySetError("carrier of a sub-preorder")
-    kept = []
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        kept.append(i)
-    labels = tuple(p.elements[i] for i in kept)
-    rows = []
-    for i in kept:
-        r = 0
-        for new_j, j in enumerate(kept):
-            if p.leq_idx(i, j):
-                r |= 1 << new_j
-        rows.append(r)
-    return Preorder(labels, tuple(rows))
+    return Preorder(labels, tuple(kernels.compact_rows(p.rows, mask)))

@@ -305,15 +305,19 @@ def strict_continuity(p: Preorder, t: Topology) -> StrictContinuityVerdict:
     return StrictContinuityVerdict(True)
 
 
+def _indicator_family(p: Preorder, masks: Iterable[int]) -> FunctionFamily:
+    """One 0/1 member per mask: 1 on the mask, 0 off it."""
+    one, zero = Fraction(1), Fraction(0)
+    positions = range(p.n)
+    return FunctionFamily(tuple(
+        ValueFunction(p.elements, tuple(one if m >> j & 1 else zero for j in positions))
+        for m in masks
+    ))
+
+
 def construct_indicator_multiutility(p: Preorder) -> FunctionFamily:
     """One 0/1 member per element x: the indicator of the up-set of x."""
-    members = []
-    for i in range(p.n):
-        values = tuple(
-            Fraction(1) if p.leq_idx(i, j) else Fraction(0) for j in range(p.n)
-        )
-        members.append(ValueFunction(p.elements, values))
-    return FunctionFamily(tuple(members))
+    return _indicator_family(p, p.rows)
 
 
 def construct_lsc_multiutility(p: Preorder, t: Topology) -> FunctionFamily:
@@ -328,13 +332,7 @@ def construct_lsc_multiutility(p: Preorder, t: Topology) -> FunctionFamily:
     if not sc.ok:
         assert sc.witness is not None and sc.contour is not None
         raise NotLscPreorderError(sc.witness, sc.contour)
-    members = []
-    for i in range(p.n):
-        values = tuple(
-            Fraction(0) if p.leq_idx(j, i) else Fraction(1) for j in range(p.n)
-        )
-        members.append(ValueFunction(p.elements, values))
-    return FunctionFamily(tuple(members))
+    return _indicator_family(p, [p.full_mask ^ below for below in p.cols])
 
 
 def construct_rp_utility(p: Preorder) -> ValueFunction:

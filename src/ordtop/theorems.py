@@ -17,7 +17,6 @@ from typing import Iterator, NamedTuple, Sequence
 from ordtop import instances, kernels
 from ordtop.errors import (
     GroundMismatchError,
-    OutOfBoundsError,
     PremiseFailedError,
     RefinementViolatedError,
     TooLargeError,
@@ -247,10 +246,11 @@ def _alexandrov_antitone(
     fin = is_finer(ta_coarse, ta_fine)
     if fin.ok:
         return []
+    coarse_relation = instances.make_document(p_coarse).relation
     return [
         _violation(
             "alexandrov-antitone", p_fine,
-            params={"coarse_relation": _relation_pairs(p_coarse)},
+            params={"coarse_relation": [list(ab) for ab in coarse_relation]},
             detail=f"fine Alexandrov open {fin.missing_open:#x} missing from the coarse one",
         )
     ]
@@ -383,8 +383,7 @@ def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
         raise TooLargeError(CHAIN_RESTRICTION_CAP, p.n)
     if not chain:
         raise PremiseFailedError("chain is empty")
-    if chain & ~p.full_mask:
-        raise OutOfBoundsError(chain, p.n)
+    kernels.check_mask(chain, p.n)
     rows, cols = p.rows, p.cols
     m = chain
     while m:
@@ -446,15 +445,6 @@ def _topology_coincidence(
                        detail="generators disagree at finite scale")
         )
     return violations
-
-
-def _relation_pairs(p: Preorder) -> list[list[str]]:
-    return [
-        [p.elements[i], p.elements[j]]
-        for i in range(p.n)
-        for j in range(p.n)
-        if p.leq_idx(i, j)
-    ]
 
 
 def replay_violation(v: TheoremViolation) -> TheoremReport:

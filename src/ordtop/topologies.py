@@ -46,10 +46,8 @@ class Topology(_Record):
             raise NotATopologyError(
                 f"{len(rows)} rows for a {ground_size}-element ground set"
             )
-        full = (1 << ground_size) - 1
         for x, row in enumerate(rows):
-            if row & ~full:
-                raise OutOfBoundsError(row, ground_size)
+            kernels.check_mask(row, ground_size)
             if not row >> x & 1:
                 raise NotATopologyError(f"point {x} is outside its own neighbourhood {row:#x}")
         bad = kernels.transitivity_violation(rows)
@@ -72,16 +70,12 @@ class Topology(_Record):
         return tuple(kernels.up_sets(list(self.rows)))
 
     def is_open(self, mask: int) -> bool:
-        if mask & ~self.full_mask:
+        """Whether ``mask`` is open; False for a mask outside the ground set."""
+        try:
+            kernels.check_mask(mask, self.ground_size)
+        except OutOfBoundsError:
             return False
-        rows = self.rows
-        m = mask
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & ~mask:
-                return False
-            m ^= low
-        return True
+        return kernels.first_escape(self.rows, mask) < 0
 
 
 def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:
@@ -102,11 +96,6 @@ def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:
 class SubbasisRole(Enum):
     AS_OPEN_SUBBASIS = "open"
     AS_CLOSED_SUBBASIS = "closed"
-
-
-def _check_mask(ground_size: int, mask: int) -> None:
-    if mask & ~((1 << ground_size) - 1):
-        raise OutOfBoundsError(mask, ground_size)
 
 
 def _meet_into(rows: list[int], s: int) -> None:
@@ -140,7 +129,7 @@ def from_opens(ground_size: int, opens: Iterable[int]) -> Topology:
     """
     members = set()
     for m in opens:
-        _check_mask(ground_size, m)
+        kernels.check_mask(m, ground_size)
         members.add(m)
     full = (1 << ground_size) - 1
     if full not in members:
@@ -174,7 +163,7 @@ def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topol
     full = (1 << ground_size) - 1
     rows = [full] * ground_size
     for s in sets:
-        _check_mask(ground_size, s)
+        kernels.check_mask(s, ground_size)
         if role is SubbasisRole.AS_CLOSED_SUBBASIS:
             s = full & ~s
         _meet_into(rows, s)
@@ -233,7 +222,7 @@ def is_finer(t1: Topology, t2: Topology) -> FinerVerdict:
 
 def is_closed(t: Topology, mask: int) -> bool:
     """The complement is open: no point outside ``mask`` has U_x meeting it."""
-    _check_mask(t.ground_size, mask)
+    kernels.check_mask(mask, t.ground_size)
     return _first_not_closed(t.rows, (mask,)) < 0
 
 
@@ -255,7 +244,7 @@ def _first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
 
 def closure(t: Topology, mask: int) -> int:
     """Smallest closed superset of ``mask``: the points whose U_x meets it."""
-    _check_mask(t.ground_size, mask)
+    kernels.check_mask(mask, t.ground_size)
     acc = 0
     for x, u in enumerate(t.rows):
         if u & mask:
@@ -265,7 +254,7 @@ def closure(t: Topology, mask: int) -> int:
 
 def interior(t: Topology, mask: int) -> int:
     """Largest open subset of ``mask``: the points whose U_x lies inside it."""
-    _check_mask(t.ground_size, mask)
+    kernels.check_mask(mask, t.ground_size)
     acc = 0
     for x, u in enumerate(t.rows):
         if not u & ~mask:
@@ -275,24 +264,10 @@ def interior(t: Topology, mask: int) -> int:
 
 def subspace(t: Topology, mask: int) -> Topology:
     """Trace topology on ``mask``, re-indexed to a compact ground set."""
-    _check_mask(t.ground_size, mask)
+    kernels.check_mask(mask, t.ground_size)
     if not mask:
         raise EmptySubspaceError()
-    kept = []
-    m = mask
-    while m:
-        low = m & -m
-        kept.append(low.bit_length() - 1)
-        m ^= low
-    rows = []
-    for i in kept:
-        trace = t.rows[i]
-        compact = 0
-        for pos, j in enumerate(kept):
-            if trace >> j & 1:
-                compact |= 1 << pos
-        rows.append(compact)
-    return _preorder_rows(len(kept), tuple(rows))
+    return _preorder_rows(mask.bit_count(), tuple(kernels.compact_rows(t.rows, mask)))
 
 
 def random_topology_between(lower: Topology, seed: int, extra_sets: int) -> Topology:

@@ -81,20 +81,45 @@ def test_up_sets_match_pair_scan():
         assert kernels.up_sets(rows) == brute_up_sets(rows)
 
 
-def test_directed_sups_match_singleton_queries():
+def brute_directed_sup(leq: list[list[bool]], d: int) -> tuple[bool, int | None]:
+    """Independent oracle from the definitions, on the relation matrix:
+    directed when every pair of members has an upper bound among the
+    members; the supremum exists when the minimal upper bounds form one
+    equivalence class."""
+    n = len(leq)
+    members = [i for i in range(n) if d >> i & 1]
+    directed = all(
+        any(leq[a][c] and leq[b][c] for c in members) for a in members for b in members
+    )
+    bounds = [u for u in range(n) if all(leq[a][u] for a in members)]
+    minimal = [u for u in bounds if not any(leq[v][u] and not leq[u][v] for v in bounds)]
+    if not minimal or not all(leq[u][v] for u in minimal for v in minimal):
+        return directed, None
+    least = minimal[0]
+    return directed, sum(1 << v for v in range(n) if leq[v][least] and leq[least][v])
+
+
+def test_directed_sup_kernel_matches_pairwise_definition():
     from ordtop.preorders import Preorder, directed_sup
+    from ordtop.theorems import all_preorders
 
     rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        rows = random_relation(rng, n)
-        labels = tuple(f"e{i}" for i in range(n))
-        p = Preorder(labels, tuple(rows))
+    cases = [
+        list(p.rows)
+        for n in range(1, 6)
+        for p in all_preorders(tuple(f"e{i}" for i in range(n)))
+    ]
+    cases += [random_relation(rng, rng.randint(1, 7)) for _ in range(40)]
+    for rows in cases:
+        n = len(rows)
+        p = Preorder(tuple(f"e{i}" for i in range(n)), tuple(rows))
+        leq = [[bool(rows[a] >> b & 1) for b in range(n)] for a in range(n)]
         expected = []
         for mask in range(1, 1 << n):
-            verdict = directed_sup(p, mask)
-            if verdict.is_directed and verdict.sup_class is not None:
-                expected.append((mask, verdict.sup_class))
+            verdict = brute_directed_sup(leq, mask)
+            assert tuple(directed_sup(p, mask)) == verdict
+            if verdict[0] and verdict[1] is not None:
+                expected.append((mask, verdict[1]))
         assert kernels.directed_sups(rows) == expected
 
 
