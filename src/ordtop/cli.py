@@ -35,14 +35,18 @@ _TOPOLOGY_CHOICES = ("upper", "alexandrov", "scott", "order", "discrete", "indis
 
 def _load_document(path: str) -> InstanceDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise err.OrdtopError(f"cannot read {path}: {exc}") from None
-    return instances.parse_instance(text)
+    return instances.parse_instance(data)
 
 
 def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> Topology:
-    """A mode name, a path to an instance carrying a topology, or the doc's own."""
+    """A mode name, a path to an instance carrying a topology, or the doc's own.
+
+    An explicit topology from a file must name the instance's elements,
+    in any order: its opens are label lists, read against the instance.
+    """
     if spec is None:
         t = instances.document_topology(doc, p)
         if t is None:
@@ -55,8 +59,14 @@ def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> T
     other = _load_document(spec)
     if other.topology is None:
         raise err.OrdtopError(f"topology file {spec} carries no topology")
-    if other.topology.mode == "explicit" and other.elements != p.elements:
-        raise err.GroundMismatchError(len(other.elements), p.n)
+    if other.topology.mode == "explicit" and set(other.elements) != set(p.elements):
+        for label in p.elements:
+            if label not in other.elements:
+                raise err.OrdtopError(f"topology file {spec} lacks element {label!r}")
+        label = next(x for x in other.elements if x not in p.elements)
+        raise err.OrdtopError(
+            f"topology file {spec} has element {label!r}, which the instance lacks"
+        )
     return instances.resolve_topology_mode(other.topology.mode, p, other.topology.opens)
 
 

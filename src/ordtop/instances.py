@@ -78,11 +78,20 @@ def make_document(
 def parse_instance(text: str | bytes) -> InstanceDocument:
     """Parse and validate a JSON instance document."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise err.InstanceSyntaxError(
+                line, f"not UTF-8: byte {text[exc.start]:#04x} at offset {exc.start}"
+            ) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise err.InstanceSyntaxError(exc.lineno, exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the recursion limit
+        raise err.InstanceValidationError("$", f"cannot decode: {exc}") from None
     if not isinstance(raw, dict):
         raise err.InstanceValidationError("$", "document must be a JSON object")
     for key in raw:
@@ -283,7 +292,8 @@ def export_dot(p: Preorder) -> str:
     """Hasse diagram of the quotient as a DOT digraph.
 
     Equivalence classes collapse to one node whose id joins the sorted
-    member labels with commas; edges are the covering pairs.
+    member labels with commas; edges are the covering pairs.  Ids are
+    quoted, with backslashes and double quotes escaped.
     """
     q = quotient(p)
     k = q.order.n
@@ -304,8 +314,14 @@ def export_dot(p: Preorder) -> str:
                 covers.append((ids[i], ids[j]))
     lines = ["digraph preorder {", "  rankdir=BT;"]
     for node in sorted(ids):
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for src, dst in sorted(covers):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(label: str) -> str:
+    """``label`` as a quoted DOT id."""
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ordtop.errors import OutOfBoundsError
+from ordtop.errors import OutOfBoundsError, TooLargeError
+
+# Most up-sets (opens) that one listing may hold: the 2^20 up-sets of a
+# 20-point antichain, the worst case of a Scott topology at its size cap.
+UP_SETS_CAP = 1 << 20
 
 
 def using_native() -> bool:
@@ -101,7 +105,8 @@ def up_sets(rows: list[int]) -> list[int]:
     Branches on the lowest undecided point x: either x is in, and with it
     everything above it, or x is out, and with it everything below it.
     Both branches stay consistent, so every leaf is an up-set and each one
-    costs O(n) steps; no subset outside the answer is ever visited.
+    costs O(n) steps; no subset outside the answer is ever visited.  Raises
+    :class:`TooLargeError` as soon as the listing passes ``UP_SETS_CAP``.
     """
     n = len(rows)
     full = (1 << n) - 1
@@ -113,6 +118,8 @@ def up_sets(rows: list[int]) -> list[int]:
         undecided = full & ~(inside | outside)
         if not undecided:
             out.append(inside)
+            if len(out) > UP_SETS_CAP:
+                raise TooLargeError(UP_SETS_CAP, len(out), "open family listed so far")
             continue
         bit = undecided & -undecided
         x = bit.bit_length() - 1
@@ -134,7 +141,7 @@ def _columns(rows: list[int]) -> list[int]:
     return cols
 
 
-def directed_sup(rows: list[int], cols: list[int], d: int) -> tuple[bool, int | None]:
+def directed_sup(rows: Sequence[int], cols: Sequence[int], d: int) -> tuple[bool, int | None]:
     """(directed, supremum class mask or None) of a nonempty subset ``d``.
 
     ``d`` is directed when every two members have an upper bound inside it:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ordtop import theorems
+from ordtop import kernels, theorems
 from ordtop.cli import main
 from tests.conftest import FIXTURES
 
@@ -177,3 +177,52 @@ def test_theorems_size_above_cap_is_refused(monkeypatch, capsys):
         code, payload = run_json(capsys, "theorems", "--max-size", size)
         assert code == 2 and payload["exit_code"] == 2 and not payload["ok"]
         assert "capped at 6" in payload["error"]
+
+
+def test_invalid_utf8_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    code, out = run_cli(capsys, "validate", str(bad), "--json")
+    assert code == 2
+    envelope = json.loads(out)
+    assert envelope["exit_code"] == 2 and "not UTF-8" in envelope["error"]
+
+
+def _explicit_chain(tmp_path, elements, opens):
+    doc = {"elements": elements, "relation": [], "autoclose": True,
+           "topology": {"mode": "explicit", "opens": opens}}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_topology_file_with_reordered_labels_is_read_by_label(capsys, tmp_path):
+    # the upper topology of the chain a < b < c, listed with the labels reversed
+    t = _explicit_chain(tmp_path, ["c", "b", "a"], [[], ["c"], ["b", "c"], ["a", "b", "c"]])
+    code, payload = run_json(capsys, "topology", fx("chain3.json"), "--topology", t)
+    assert code == 0
+    assert payload["result"]["opens"] == [[], ["c"], ["b", "c"], ["a", "b", "c"]]
+    code, payload = run_json(capsys, "check-lsc", fx("chain3.json"), "--topology", t)
+    assert code == 0 and payload["result"]["semicontinuous"]
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        (["a", "b"], "lacks element 'c'"),
+        (["a", "b", "c", "d"], "has element 'd', which the instance lacks"),
+        (["a", "b", "x"], "lacks element 'c'"),
+    ],
+)
+def test_topology_file_with_other_labels_names_one(capsys, tmp_path, elements, message):
+    t = _explicit_chain(tmp_path, elements, [[], elements])
+    code, out = run_cli(capsys, "check-lsc", fx("chain3.json"), "--topology", t, "--json")
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
+def test_open_listing_past_the_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(kernels, "UP_SETS_CAP", 7)
+    code, out = run_cli(capsys, "topology", fx("chain3.json"), "--topology", "discrete", "--json")
+    assert code == 2
+    assert "capped at 7" in json.loads(out)["error"]

@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordtop as ot
-from ordtop.errors import InstanceSyntaxError, InstanceValidationError
+from ordtop.errors import InstanceSyntaxError, InstanceValidationError, OrdtopError
 from ordtop.instances import (
     document_family,
     document_preorder,
@@ -155,3 +157,61 @@ def test_export_dot_examples(chain3, vee):
     lines = [ln.strip() for ln in dot.splitlines()]
     assert '"a,b";' in lines and '"a,b" -> "c";' in lines
     assert sum(1 for ln in lines if "->" in ln) == 1
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    p = ot.build_preorder(('a"b', "c\\d"), [('a"b', "c\\d")])
+    lines = [ln.strip() for ln in export_dot(p).splitlines()]
+    assert lines[2:5] == ['"a\\"b";', '"c\\\\d";', '"a\\"b" -> "c\\\\d";']
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"\xff", 1), (b'{"elements": ["a"],\n "relation": [["a", "\xc3"]]}', 2)],
+    ids=["leading-0xff", "truncated-sequence"],
+)
+def test_invalid_utf8_is_a_syntax_error(data, line):
+    with pytest.raises(InstanceSyntaxError, match="not UTF-8") as exc:
+        parse_instance(data)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["deep-nesting", "long-integer"])
+def test_undecodable_json_is_an_input_error(text):
+    with pytest.raises(InstanceValidationError, match="cannot decode"):
+        parse_instance(text)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+labels = st.lists(st.sampled_from("abc"), max_size=3)
+documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "elements": labels | json_values,
+        "relation": st.lists(labels, max_size=4) | json_values,
+        "autoclose": st.booleans() | json_values,
+        "topology": st.fixed_dictionaries(
+            {"mode": st.sampled_from(("upper", "explicit", "scott")) | json_values},
+            optional={"opens": st.lists(labels, max_size=4) | json_values},
+        ) | json_values,
+        "functions": st.dictionaries(
+            st.text(max_size=2), st.dictionaries(st.sampled_from("abc"), json_values)
+        ) | json_values,
+        "other": json_values,
+    },
+)
+
+
+@given(st.binary() | json_values.map(json.dumps) | documents.map(json.dumps))
+@settings(max_examples=300, deadline=None)
+def test_parse_instance_raises_only_ordtop_errors(data):
+    try:
+        parse_instance(data)
+    except OrdtopError:
+        pass

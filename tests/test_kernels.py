@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+
 from ordtop import kernels
+from ordtop.errors import TooLargeError
+from ordtop.topologies import SCOTT_CAP
 
 
 def random_relation(rng: random.Random, n: int, closed: bool = True) -> list[int]:
@@ -79,6 +83,19 @@ def test_up_sets_match_pair_scan():
     for _ in range(60):
         rows = random_relation(rng, rng.randint(1, 6))
         assert kernels.up_sets(rows) == brute_up_sets(rows)
+
+
+def test_up_sets_stop_as_soon_as_the_listing_passes_the_cap(monkeypatch):
+    # a Scott family at its size cap, all up-sets of an antichain, must fit
+    assert kernels.UP_SETS_CAP >= 1 << SCOTT_CAP
+    monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
+    assert len(kernels.up_sets([1, 2, 4])) == 8
+    monkeypatch.setattr(kernels, "UP_SETS_CAP", 7)
+    with pytest.raises(TooLargeError):
+        kernels.up_sets([1, 2, 4])
+    with pytest.raises(TooLargeError) as exc:
+        kernels.up_sets([1 << i for i in range(30)])
+    assert exc.value.actual == 8
 
 
 def brute_directed_sup(leq: list[list[bool]], d: int) -> tuple[bool, int | None]:
