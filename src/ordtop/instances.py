@@ -208,6 +208,12 @@ def _parse_functions(
                 raise err.InstanceValidationError(
                     f"functions.{name}.{x}", 'rationals are written as "p/q" strings'
                 )
+            # Fraction would expand an exponent into an integer of that many
+            # digits, so "1e10000000" alone would take seconds to parse.
+            if "e" in v or "E" in v:
+                raise err.InstanceValidationError(
+                    f"functions.{name}.{x}", f"exponents are not accepted: {v!r}"
+                )
             try:
                 values.append(Fraction(v))
             except (ValueError, ZeroDivisionError):

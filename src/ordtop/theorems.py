@@ -12,7 +12,7 @@ import functools
 import json
 import random
 import time
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ordtop import instances, kernels
 from ordtop.errors import (
@@ -124,22 +124,51 @@ def _violation(
     return TheoremViolation(theorem_id, instances.serialize_instance(doc), params or {}, detail)
 
 
+def _per_topology(ts: Sequence[Topology], decide: Callable, *aligned: Sequence) -> list:
+    """``decide(t, *entries)`` for each topology of ``ts``, in order, with its
+    entries of the ``aligned`` lists.  The topologies share one ground set,
+    so equal rows mean equal topologies: ``decide`` runs once per distinct
+    one, and its answer is repeated for each equal one."""
+    decided: dict[tuple[int, ...], object] = {}
+    for args in zip(ts, *aligned):
+        rows = args[0].rows
+        if rows not in decided:
+            decided[rows] = decide(*args)
+    return [decided[t.rows] for t in ts]
+
+
+def _totals(verdicts: list[tuple[bool, list[TheoremViolation]]]) -> tuple[int, int, list]:
+    """(checked, non_vacuous, violations) of one (premise held, violations)
+    verdict per instance."""
+    non_vacuous, violations = 0, []
+    for held, vs in verdicts:
+        non_vacuous += held
+        violations += vs
+    return len(verdicts), non_vacuous, violations
+
+
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
     started = time.perf_counter()
-    lsc = preorder_semicontinuity(p, t, Sense.LOWER).ok
-    return _report("lsc-iff-upper", 1, 1, _lsc_iff_upper(p, t, upper_topology(p), lsc), started)
+    lsc = [preorder_semicontinuity(p, t, Sense.LOWER)]
+    return _report("lsc-iff-upper", *_lsc_iff_upper(p, [t], lsc, upper_topology(p)), started)
 
 
-def _lsc_iff_upper(p: Preorder, t: Topology, tu: Topology, lhs: bool) -> list[TheoremViolation]:
-    """Core of :func:`check_lsc_iff_upper`, returning its violations; ``tu``
-    is ``upper_topology(p)`` and ``lhs`` whether ``p`` is lower
-    semicontinuous in ``t``."""
-    rhs = is_finer(t, tu).ok
-    if lhs == rhs:
-        return []
-    detail = f"semicontinuity={lhs} but upper-refinement={rhs}"
-    return [_violation("lsc-iff-upper", p, t, detail=detail)]
+def _lsc_iff_upper(
+    p: Preorder, ts: Sequence[Topology], lsc: Sequence[PreorderScVerdict], tu: Topology
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_lsc_iff_upper` over the topologies ``ts``;
+    ``lsc`` holds the lower semicontinuity verdict of ``p`` in each, and
+    ``tu`` is ``upper_topology(p)``."""
+
+    def decide(t: Topology, sc: PreorderScVerdict) -> tuple[bool, list[TheoremViolation]]:
+        rhs = is_finer(t, tu).ok
+        if sc.ok == rhs:
+            return True, []
+        detail = f"semicontinuity={sc.ok} but upper-refinement={rhs}"
+        return True, [_violation("lsc-iff-upper", p, t, detail=detail)]
+
+    return _totals(_per_topology(ts, decide, lsc))
 
 
 def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
@@ -150,9 +179,9 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     instance a vacuous pass (after confirming the obstruction itself).
     """
     started = time.perf_counter()
-    sc = preorder_semicontinuity(p, t, Sense.LOWER)
-    held, violations = _scott_necessity(p, t, sc, _scott_family(p) if sc.ok else None, None)
-    return _report("scott-necessity", 1, int(held), violations, started)
+    lsc = [preorder_semicontinuity(p, t, Sense.LOWER)]
+    family, scott = (_scott_family(p), scott_topology(p)) if lsc[0].ok else (None, None)
+    return _report("scott-necessity", *_scott_necessity(p, [t], lsc, family, scott), started)
 
 
 def _scott_family(p: Preorder) -> tuple[list[list[int]], set[int], RepVerdict]:
@@ -176,64 +205,52 @@ def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tup
 
 def _scott_necessity(
     p: Preorder,
-    t: Topology,
-    sc: PreorderScVerdict,
+    ts: Sequence[Topology],
+    lsc: Sequence[PreorderScVerdict],
     family: tuple[list[list[int]], set[int], RepVerdict] | None,
     scott: Topology | None,
-) -> tuple[bool, list[TheoremViolation]]:
-    """Core of :func:`check_scott_necessity`: whether the premise held, and
-    the violations.  ``sc`` is the lower semicontinuity verdict of ``p`` in
-    ``t``, and ``family`` is :func:`_scott_family` of ``p`` whenever ``sc``
-    holds.  ``scott`` is ``scott_topology(p)`` when the caller already has
-    it, else it is computed here when needed."""
-    violations = []
-    if not sc.ok:
-        assert sc.contour is not None
-        if is_closed(t, sc.contour):
-            violations.append(
-                _violation(
-                    "scott-necessity", p, t,
-                    detail=f"obstruction contour of {sc.witness!r} is closed after all",
-                )
-            )
-        return False, violations
-    assert family is not None
-    belows, sublevels, verdict = family
-    if not verdict.ok:
-        violations.append(
-            _violation("scott-necessity", p, t,
-                       detail=f"constructed family fails the RP check: {verdict.witness}")
-        )
-    for k, x in _members_not_lsc(t, belows, sublevels):
-        violations.append(
-            _violation("scott-necessity", p, t,
-                       detail=f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
-        )
-    fin = is_finer(t, scott_topology(p) if scott is None else scott)
-    if not fin.ok:
-        violations.append(
-            _violation(
-                "scott-necessity", p, t,
-                detail=f"family exists but Scott open {fin.missing_open:#x} is missing",
-            )
-        )
-    return True, violations
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_scott_necessity` over the topologies ``ts``;
+    ``lsc`` holds the lower semicontinuity verdict of ``p`` in each.  The
+    premise of an instance is that verdict.  ``family`` is
+    :func:`_scott_family` of ``p`` and ``scott`` is ``scott_topology(p)``;
+    only the instances whose premise holds read them, so both may be None
+    when it holds in none."""
+
+    def decide(t: Topology, sc: PreorderScVerdict) -> tuple[bool, list[TheoremViolation]]:
+        details = []
+        if not sc.ok:
+            assert sc.contour is not None
+            if is_closed(t, sc.contour):
+                details.append(f"obstruction contour of {sc.witness!r} is closed after all")
+        else:
+            assert family is not None and scott is not None
+            belows, sublevels, verdict = family
+            if not verdict.ok:
+                details.append(f"constructed family fails the RP check: {verdict.witness}")
+            for k, x in _members_not_lsc(t, belows, sublevels):
+                details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
+            fin = is_finer(t, scott)
+            if not fin.ok:
+                details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
+        return sc.ok, [_violation("scott-necessity", p, t, detail=d) for d in details]
+
+    return _totals(_per_topology(ts, decide, lsc))
 
 
 def check_alexandrov_antitone(p_coarse: Preorder, p_fine: Preorder) -> TheoremReport:
     """Refining the preorder can only shrink the Alexandrov topology."""
     started = time.perf_counter()
-    violations = _alexandrov_antitone(p_coarse, p_fine, None, None)
-    return _report("alexandrov-antitone", 1, 1, violations, started)
+    ta_coarse, ta_fine = alexandrov_topology(p_coarse), alexandrov_topology(p_fine)
+    result = _alexandrov_antitone(p_coarse, p_fine, ta_coarse, ta_fine)
+    return _report("alexandrov-antitone", *result, started)
 
 
 def _alexandrov_antitone(
-    p_coarse: Preorder, p_fine: Preorder, ta_coarse: Topology | None, ta_fine: Topology | None
-) -> list[TheoremViolation]:
-    """Core of :func:`check_alexandrov_antitone`, returning its violations.
-    ``ta_coarse`` and ``ta_fine`` are the Alexandrov topologies of the two
-    preorders when the caller already has them, else they are built here,
-    once the premise holds."""
+    p_coarse: Preorder, p_fine: Preorder, ta_coarse: Topology, ta_fine: Topology
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_alexandrov_antitone`; ``ta_coarse`` and
+    ``ta_fine`` are the Alexandrov topologies of the two preorders."""
     if p_coarse.elements != p_fine.elements:
         raise GroundMismatchError(p_coarse.n, p_fine.n)
     for i in range(p_coarse.n):
@@ -241,13 +258,11 @@ def _alexandrov_antitone(
         if escaped:
             j = (escaped & -escaped).bit_length() - 1
             raise RefinementViolatedError((p_coarse.elements[i], p_coarse.elements[j]))
-    if ta_coarse is None or ta_fine is None:
-        ta_coarse, ta_fine = alexandrov_topology(p_coarse), alexandrov_topology(p_fine)
     fin = is_finer(ta_coarse, ta_fine)
     if fin.ok:
-        return []
+        return 1, 1, []
     coarse_relation = instances.make_document(p_coarse).relation
-    return [
+    return 1, 1, [
         _violation(
             "alexandrov-antitone", p_fine,
             params={"coarse_relation": [list(ab) for ab in coarse_relation]},
@@ -263,60 +278,57 @@ def check_linear_extensions_lsc(
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    ta = alexandrov_topology(p)
-    checked, violations = _linear_extensions_lsc(p, t, samples, seed, ta, None, None)
-    return _report("linear-extensions-lsc", checked, checked, violations, started)
+    exts = enumerate_linear_extensions(p, max(samples, 1) + 1)
+    q = quotient(p) if len(exts) > samples else None
+    result = _linear_extensions_lsc(p, [t], [seed], samples, alexandrov_topology(p), exts, q)
+    return _report("linear-extensions-lsc", *result, started)
 
 
 def _linear_extensions_lsc(
     p: Preorder,
-    t: Topology,
+    ts: Sequence[Topology],
+    seeds: Sequence[int],
     samples: int,
-    seed: int,
     ta: Topology,
-    extensions: Sequence[Preorder] | None,
+    extensions: list[Preorder],
     q: Quotient | None,
-) -> tuple[int, list[TheoremViolation]]:
-    """Core of :func:`check_linear_extensions_lsc`: the number of extensions
-    checked, and the violations; ``ta`` is ``alexandrov_topology(p)``.
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_linear_extensions_lsc` over the topologies ``ts``,
+    each with its seed in ``seeds``; ``ta`` is ``alexandrov_topology(p)``.
 
-    ``extensions`` is a prefix of ``enumerate_linear_extensions(p, limit)``
-    for some limit above ``samples`` when the caller already has one, else
-    the extensions are enumerated here.  The enumeration is deterministic,
-    so both routes see the same list.  ``q`` is ``quotient(p)`` when the
-    caller already has it, else it is computed here when needed.  A drawn
-    extension stays a class order: its contours are the prefix unions.
+    ``extensions`` is ``enumerate_linear_extensions(p, limit)`` for a limit
+    above ``samples``.  When it holds more than ``samples`` extensions,
+    ``samples`` of them are drawn per topology from ``q``, which is then
+    ``quotient(p)``; else all of them are checked.  A drawn extension stays
+    a class order: its contours are the prefix unions.
     """
-    fin = is_finer(t, ta)
-    if not fin.ok:
-        raise PremiseFailedError(
-            "topology is not finer than the Alexandrov topology", fin.missing_open
-        )
-    wanted = max(samples, 1) + 1
-    if extensions is None:
-        exts = enumerate_linear_extensions(p, wanted)
-    else:
-        exts = extensions[:wanted]
-    if len(exts) > samples:
-        # Without forced pairs the extension draws on the quotient's own
-        # order, so one quotient serves every sample.
-        if q is None:
-            q = quotient(p)
-        orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
-        contours = [_class_order_rows_cols(p.n, q, order)[1] for order in orders]
-    else:
-        contours = [e.cols for e in exts]
-    # Extension by extension, element by element: the first failure is the witness.
-    i = _first_not_closed(t.rows, [c for cols in contours for c in cols])
-    if i < 0:
-        return len(contours), []
-    return len(contours), [
-        _violation(
-            "linear-extensions-lsc", p, t,
-            params={"samples": samples, "seed": seed},
-            detail=f"extension contour of {p.elements[i % p.n]!r} is not closed",
-        )
-    ]
+    checked, violations = 0, []
+    for t, seed in zip(ts, seeds):
+        fin = is_finer(t, ta)
+        if not fin.ok:
+            raise PremiseFailedError(
+                "topology is not finer than the Alexandrov topology", fin.missing_open
+            )
+        if len(extensions) > samples:
+            # Without forced pairs the extension draws on the quotient's own
+            # order, so one quotient serves every sample.
+            assert q is not None
+            orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
+            contours = [_class_order_rows_cols(p.n, q, order)[1] for order in orders]
+        else:
+            contours = [e.cols for e in extensions]
+        checked += len(contours)
+        # Extension by extension, element by element: the first failure is the witness.
+        i = _first_not_closed(t.rows, [c for cols in contours for c in cols])
+        if i >= 0:
+            violations.append(
+                _violation(
+                    "linear-extensions-lsc", p, t,
+                    params={"samples": samples, "seed": seed},
+                    detail=f"extension contour of {p.elements[i % p.n]!r} is not closed",
+                )
+            )
+    return checked, checked, violations
 
 
 def check_chain_restriction(
@@ -331,15 +343,58 @@ def check_chain_restriction(
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
+    # Refuse a bad instance before the enumeration, which is exponential.
     _check_chain_and_outsider(p, chain, x)
-    contours = _premise_contours(enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1))
-    held = _first_not_closed(t.rows, contours) < 0
-    violations = []
-    if held:
-        missing = _chain_refines_alexandrov(p, t, chain)
-        if missing is not None:
-            violations.append(_chain_violation(p, t, chain, x, missing))
-    return _report("chain-restriction", 1, int(held), violations, started)
+    exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)
+    return _report("chain-restriction", *_chain_restriction(p, [t], [(chain, x)], exts), started)
+
+
+def _chain_restriction(
+    p: Preorder,
+    ts: Sequence[Topology],
+    pairs: Iterable[tuple[int, str]],
+    extensions: list[Preorder],
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_chain_restriction` over the topologies ``ts`` and
+    the (chain, outsider) ``pairs``, each of which is validated first;
+    ``extensions`` is ``enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)``.
+    Each distinct t is decided once: its premise, and then the conclusion
+    on each chain, which all outsiders of that chain share."""
+    pairs = list(pairs)
+    for chain, x in pairs:
+        _check_chain_and_outsider(p, chain, x)
+    if not pairs:
+        return 0, 0, []
+    contours = _premise_contours(extensions)
+    chains = dict.fromkeys(chain for chain, _ in pairs)
+
+    def decide(t: Topology) -> tuple[bool, dict[int, int]]:
+        """The premise in t, and the missing open of each chain that fails
+        the conclusion."""
+        if _first_not_closed(t.rows, contours) >= 0:
+            return False, {}
+        return True, {
+            chain: missing
+            for chain in chains
+            if (missing := _chain_refines_alexandrov(p, t, chain)) is not None
+        }
+
+    held, failing = 0, []  # failing: each t with the chains that fail in it
+    for t, (h, failed) in zip(ts, _per_topology(ts, decide)):
+        held += h
+        if failed:
+            failing.append((t, failed))
+    violations = [
+        _violation(
+            "chain-restriction", p, t,
+            params={"chain": list(labels_of(p, chain)), "x": x},
+            detail=f"trace open {failed[chain]:#x} missing on the chain",
+        )
+        for chain, x in pairs
+        for t, failed in failing
+        if chain in failed
+    ]
+    return len(pairs) * len(ts), len(pairs) * held, violations
 
 
 def _premise_contours(extensions: list[Preorder]) -> set[int]:
@@ -406,32 +461,18 @@ def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
         )
 
 
-def _chain_violation(
-    p: Preorder, t: Topology, chain: int, x: str, missing_open: int
-) -> TheoremViolation:
-    """The chain-restriction violation of (p, t, chain, x), whose conclusion
-    failed with ``missing_open``."""
-    return _violation(
-        "chain-restriction", p, t,
-        params={"chain": list(labels_of(p, chain)), "x": x},
-        detail=f"trace open {missing_open:#x} missing on the chain",
-    )
-
-
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
     ts, tu, ta = scott_topology(p), upper_topology(p), alexandrov_topology(p)
-    violations = _topology_coincidence(p, ts, tu, ta)
-    return _report("topology-coincidence", 1, 1, violations, started)
+    return _report("topology-coincidence", *_topology_coincidence(p, ts, tu, ta), started)
 
 
 def _topology_coincidence(
     p: Preorder, ts: Topology, tu: Topology, ta: Topology
-) -> list[TheoremViolation]:
-    """Core of :func:`check_topology_coincidence`, returning its violations;
-    ``ts``, ``tu`` and ``ta`` are the Scott, upper and Alexandrov topologies
-    of ``p``."""
+) -> tuple[int, int, list[TheoremViolation]]:
+    """Core of :func:`check_topology_coincidence`; ``ts``, ``tu`` and ``ta``
+    are the Scott, upper and Alexandrov topologies of ``p``."""
     violations = []
     if not is_finer(ts, tu).ok:
         violations.append(_violation("topology-coincidence", p, detail="upper not within scott"))
@@ -444,7 +485,7 @@ def _topology_coincidence(
             _violation("topology-coincidence", p,
                        detail="generators disagree at finite scale")
         )
-    return violations
+    return 1, 1, violations
 
 
 def replay_violation(v: TheoremViolation) -> TheoremReport:
@@ -498,16 +539,7 @@ def _all_partial_order_rows(k: int) -> tuple[tuple[int, ...], ...]:
 
     def assign(slot: int) -> None:
         if slot == len(pair_slots):
-            ok = True
-            for i in range(k):
-                for j in range(k):
-                    if rows[i] >> j & 1:
-                        if rows[j] & ~rows[i]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
+            if kernels.transitivity_violation(rows) is None:
                 out.append(tuple(rows))
             return
         i, j = pair_slots[slot]
@@ -528,10 +560,15 @@ def all_preorders(labels: Sequence[str]) -> Iterator[Preorder]:
 
     Enumerated as (equivalence partition, partial order on the blocks),
     which is an independent route from filtering raw relation matrices.
+    More than :data:`SUITE_CAP` labels are refused before anything is
+    yielded: the partial orders on k blocks are found among 3^(k(k-1)/2)
+    assignments.
     """
     labels = tuple(labels)
-    index = {x: i for i, x in enumerate(labels)}
     n = len(labels)
+    if n > SUITE_CAP:
+        raise TooLargeError(SUITE_CAP, n)
+    index = {x: i for i, x in enumerate(labels)}
     for blocks in _set_partitions(labels):
         k = len(blocks)
         block_of = {}
@@ -613,17 +650,10 @@ class _Tally:
 
     __slots__ = ("checked", "non_vacuous", "violations", "elapsed")
 
-    def __init__(
-        self,
-        checked: int = 0,
-        non_vacuous: int = 0,
-        violations: list[TheoremViolation] | None = None,
-        elapsed: float = 0.0,
-    ) -> None:
-        self.checked = checked
-        self.non_vacuous = non_vacuous
-        self.violations = [] if violations is None else violations
-        self.elapsed = elapsed
+    def __init__(self) -> None:
+        self.checked = self.non_vacuous = 0
+        self.violations: list[TheoremViolation] = []
+        self.elapsed = 0.0
 
     def add(self, report: TheoremReport) -> None:
         self.record(report.instances_checked, report.non_vacuous, report.violations)
@@ -722,37 +752,11 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     ones, the two trivial ones, and seeded refinements) and run through
     every checker; chain-restriction instances enumerate every chain plus
     incomparable outsider.  Sizes above :data:`SUITE_CAP` are refused
-    before anything is enumerated: the partial orders on k blocks are
-    found among 3^(k(k-1)/2) assignments.
-
-    The checks are those of the public ``check_*`` functions: the same
-    cores run, returning plain verdicts that only the public functions
-    turn into reports.  Work that depends only on p, or on (p, t), or on
-    (p, chain), is done once.  Sample topologies with equal rows are
-    equal, so lsc-iff-upper, scott-necessity and chain-restriction decide
-    each distinct t once; the counts are added once per sample, and a
-    violation is repeated for each equal sample, in sample order, as the
-    public checkers would report it.  The checks run on masks: an
-    extension is lsc when its columns (for a drawn one, the prefix unions
-    of its class order) are closed; each distinct contour of the
-    extensions (the chain-restriction premise) and each distinct sublevel
-    set of the Scott family is decided once per distinct t; the chain
-    conclusion compares ``t.rows[i] & chain`` with ``p.rows[i]``; and p and
-    its refinement, preorders by construction, are not validated again.
-
-    Each theorem's ``elapsed`` is the time of its whole block per p, and
-    work shared between theorems is charged to one theorem that uses it:
-    the enumeration of p itself, the six sample topologies, the upper and
-    Alexandrov topologies of p and the lower semicontinuity of p in each
-    distinct t to lsc-iff-upper; the Scott topology of p to
-    topology-coincidence; the Scott family of p (its level sets and its
-    Richter-Peleg check, built once per p) to scott-necessity; the random
-    refinement to alexandrov-antitone; the linear extensions of p, its
-    quotient and the refined Alexandrov topology to linear-extensions-lsc;
-    and the (chain, outsider) enumeration and the validation of each such
-    pair, the distinct contours of the extensions, the premise of each
-    distinct t and the conclusion of each distinct (t, chain) to
-    chain-restriction.  So the times add up to the whole run.
+    before anything is enumerated.  The suite runs the cores of the public
+    ``check_*`` functions on the whole list of sample topologies, so its
+    counts and violations are theirs.  Each theorem's ``elapsed`` is the
+    time of its block, and work that several blocks share per preorder is
+    timed in the first block that needs it.
     """
     if max_size > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
@@ -760,8 +764,7 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     samples = 4  # linear extensions drawn per linear-extensions-lsc instance
     started = time.perf_counter()
     for n in range(1, max_size + 1):
-        labels = default_labels(n)
-        for pi, p in enumerate(all_preorders(labels)):
+        for pi, p in enumerate(all_preorders(default_labels(n))):
             rng = random.Random(seed * 7_777_777 + pi * 101 + n)
             tu = upper_topology(p)
             ta = _preorder_rows(n, p.rows)
@@ -773,80 +776,34 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            # The samples all have n points, so their rows identify them
-            # (at finite scale tu == ta).
-            distinct = {t.rows: t for t in sample_ts}
-            lsc = {
-                rows: preorder_semicontinuity(p, t, Sense.LOWER) for rows, t in distinct.items()
-            }
-            tally = tallies["lsc-iff-upper"]
-            decided = {rows: _lsc_iff_upper(p, t, tu, lsc[rows].ok) 
-                       for rows, t in distinct.items()}
-            for t in sample_ts:
-                tally.record(1, 1, decided[t.rows])
-            started = tally.charge(started)
+            lsc = _per_topology(sample_ts, lambda t: preorder_semicontinuity(p, t, Sense.LOWER))
+            tallies["lsc-iff-upper"].record(*_lsc_iff_upper(p, sample_ts, lsc, tu))
+            started = tallies["lsc-iff-upper"].charge(started)
 
             ts = scott_topology(p)
-            tally = tallies["topology-coincidence"]
-            tally.record(1, 1, _topology_coincidence(p, ts, tu, ta))
-            started = tally.charge(started)
+            tallies["topology-coincidence"].record(*_topology_coincidence(p, ts, tu, ta))
+            started = tallies["topology-coincidence"].charge(started)
 
-            tally = tallies["scott-necessity"]
-            family = None
-            decided = {}
-            for rows, t in distinct.items():
-                if lsc[rows].ok and family is None:
-                    family = _scott_family(p)
-                decided[rows] = _scott_necessity(p, t, lsc[rows], family, ts)
-            for t in sample_ts:
-                tally.record(1, *decided[t.rows])
-            started = tally.charge(started)
+            result = _scott_necessity(p, sample_ts, lsc, _scott_family(p), ts)
+            tallies["scott-necessity"].record(*result)
+            started = tallies["scott-necessity"].charge(started)
 
-            tally = tallies["alexandrov-antitone"]
             fine = random_refinement(rng, p)
-            tally.record(1, 1, _alexandrov_antitone(p, fine, ta, _preorder_rows(n, fine.rows)))
-            started = tally.charge(started)
+            result = _alexandrov_antitone(p, fine, ta, _preorder_rows(n, fine.rows))
+            tallies["alexandrov-antitone"].record(*result)
+            started = tallies["alexandrov-antitone"].charge(started)
 
-            tally = tallies["linear-extensions-lsc"]
             exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)
             q = quotient(p) if len(exts) > samples else None
-            for t in (ta, random_topology_between(ta, rng.randrange(1 << 30), 2)):
-                checked, violations = _linear_extensions_lsc(
-                    p, t, samples, rng.randrange(1 << 30), ta, exts, q
-                )
-                tally.record(checked, checked, violations)
-            started = tally.charge(started)
+            above = [ta, random_topology_between(ta, rng.randrange(1 << 30), 2)]
+            seeds = [rng.randrange(1 << 30) for _ in above]
+            result = _linear_extensions_lsc(p, above, seeds, samples, ta, exts, q)
+            tallies["linear-extensions-lsc"].record(*result)
+            started = tallies["linear-extensions-lsc"].charge(started)
 
-            tally = tallies["chain-restriction"]
-            held: dict[tuple[int, ...], Topology] | None = None  # the premise holds in these
-            failed: dict[tuple[int, ...], int] = {}  # missing opens of the last chain
-            last_chain = 0
-            for chain, x in _chain_outsider_pairs(p):
-                _check_chain_and_outsider(p, chain, x)
-                if held is None:
-                    contours = _premise_contours(exts)
-                    held = {
-                        rows: t for rows, t in distinct.items()
-                        if _first_not_closed(rows, contours) < 0
-                    }
-                    held_samples = sum(t.rows in held for t in sample_ts)
-                tally.checked += len(sample_ts)
-                tally.non_vacuous += held_samples
-                # Chains ascend, so the outsiders of one chain share its conclusions.
-                if chain != last_chain and held:
-                    last_chain = chain
-                    failed = {}
-                    for rows, t in held.items():
-                        missing = _chain_refines_alexandrov(p, t, chain)
-                        if missing is not None:
-                            failed[rows] = missing
-                if failed:
-                    for t in sample_ts:
-                        if t.rows in failed:
-                            tally.violations.append(
-                                _chain_violation(p, t, chain, x, failed[t.rows])
-                            )
-            started = tally.charge(started)
+            result = _chain_restriction(p, sample_ts, _chain_outsider_pairs(p), exts)
+            tallies["chain-restriction"].record(*result)
+            started = tallies["chain-restriction"].charge(started)
     return _finish(tallies)
 
 

@@ -1,6 +1,7 @@
 """Instance document parsing, canonical serialisation, and DOT export."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop as ot
+from ordtop.cli import main
 from ordtop.errors import InstanceSyntaxError, InstanceValidationError, OrdtopError
 from ordtop.instances import (
     document_family,
@@ -130,6 +132,33 @@ def test_rationals_parse_reduced():
     )
     assert doc.functions == (("f", (Fraction(1, 2),)),)
     assert '"1/2"' in serialize_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2/4", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("3", Fraction(3)), ("1.5", Fraction(3, 2))],
+)
+def test_rational_spellings_parse(text, value):
+    doc = parse_instance(
+        json.dumps({"elements": ["a"], "relation": [], "functions": {"f": {"a": text}}})
+    )
+    assert doc.functions == (("f", (value,)),)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E10000000", "2.5e-3"])
+def test_exponent_rationals_are_refused_at_once(text, capsys, tmp_path):
+    # Fraction("1e10000000") builds a ten-million-digit integer (seconds);
+    # the refusal comes before it runs.
+    payload = json.dumps({"elements": ["a"], "relation": [], "functions": {"f": {"a": text}}})
+    started = time.perf_counter()
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(payload)
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.path == "functions.f.a" and "exponent" in str(exc.value)
+    path = tmp_path / "exp.json"
+    path.write_text(payload, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - started < 2.0
 
 
 def test_make_document_round_trips_topology(vee):

@@ -1,5 +1,6 @@
 """Theorem checkers, enumeration, mining, and violation plumbing."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -61,6 +62,45 @@ def test_enumeration_counts_match_matrix_oracle():
             for j in range(3):
                 if p.leq_idx(i, j):
                     assert p.rows[j] & ~p.rows[i] == 0
+
+
+def filtered_partial_order_rows(k):
+    """Oracle: every assignment of (incomparable, i below j, j below i) to the
+    pairs i < j, in itertools.product order, kept when it is transitive."""
+    slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    out = []
+    for choice in itertools.product((0, 1, 2), repeat=len(slots)):
+        rows = [1 << i for i in range(k)]
+        for (i, j), c in zip(slots, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        if all(
+            rows[j] >> m & 1 <= rows[i] >> m & 1
+            for i in range(k) for j in range(k) if rows[i] >> j & 1 for m in range(k)
+        ):
+            out.append(tuple(rows))
+    return tuple(out)
+
+
+def test_partial_order_rows_match_the_ordered_filter():
+    # The suite seeds each preorder by its index, so the order matters too.
+    counts = [1, 1, 3, 19, 219, 4231]  # labelled posets (OEIS A001035)
+    for k in range(6):
+        rows = theorems._all_partial_order_rows(k)
+        assert rows == filtered_partial_order_rows(k)
+        assert len(rows) == counts[k]
+
+
+def test_all_preorders_refuses_more_than_the_suite_cap(monkeypatch):
+    def fail(k):
+        raise AssertionError("partial orders enumerated past the cap")
+
+    monkeypatch.setattr(theorems, "_all_partial_order_rows", fail)
+    with pytest.raises(TooLargeError) as exc:
+        next(all_preorders(default_labels(7)))
+    assert (exc.value.limit, exc.value.actual) == (theorems.SUITE_CAP, 7)
 
 
 def test_check_lsc_iff_upper_examples(chain3):
@@ -134,6 +174,24 @@ def test_check_chain_restriction_examples():
     with pytest.raises(TooLargeError):
         big = ot.build_preorder(tuple(f"e{i}" for i in range(9)))
         check_chain_restriction(big, ot.indiscrete(9), 1, "e1")
+
+
+def test_chain_restriction_refuses_bad_instances_before_enumerating(monkeypatch, vee):
+    def fail(p, limit):
+        raise AssertionError("linear extensions enumerated for a refused instance")
+
+    monkeypatch.setattr(theorems, "enumerate_linear_extensions", fail)
+    big = ot.build_preorder(tuple(f"e{i}" for i in range(9)))  # 9! extensions
+    with pytest.raises(TooLargeError) as exc:
+        check_chain_restriction(big, ot.discrete(9), ot.mask_of(big, ["e0"]), "e1")
+    assert (exc.value.limit, exc.value.actual) == (theorems.CHAIN_RESTRICTION_CAP, 9)
+    with pytest.raises(PremiseFailedError) as exc:
+        check_chain_restriction(vee, ot.discrete(3), ot.mask_of(vee, "ab"), "c")
+    assert exc.value.reason == "chain is not totally ordered"
+    p = _hook_instance()
+    with pytest.raises(PremiseFailedError) as exc:
+        check_chain_restriction(p, ot.discrete(3), ot.mask_of(p, "ab"), "a")
+    assert exc.value.reason == "'a' lies inside the chain"
 
 
 def test_check_topology_coincidence_examples(vee, equiv2, single):
