@@ -55,10 +55,8 @@ from ordtop.topologies import (
     upper_topology,
 )
 
-CHAIN_RESTRICTION_CAP = 8
 MINE_CAP = 8
 SUITE_CAP = 6
-_EXHAUSTIVE_LIMIT = 50_000
 
 THEOREM_IDS = (
     "topology-coincidence",
@@ -297,7 +295,8 @@ def _linear_extensions_lsc(
     each with its seed in ``seeds``; ``ta`` is ``alexandrov_topology(p)``.
 
     ``extensions`` is ``enumerate_linear_extensions(p, limit)`` for a limit
-    above ``samples``.  When it holds more than ``samples`` extensions,
+    above ``samples``, and ``samples + 1`` is all it reads.  When it holds
+    more than ``samples`` extensions,
     ``samples`` of them are drawn per topology from ``q``, which is then
     ``quotient(p)``; else all of them are checked.  A drawn extension stays
     a class order: its contours are the prefix unions.
@@ -336,42 +335,42 @@ def check_chain_restriction(
 ) -> TheoremReport:
     """If all linear extensions are lsc, the trace topology on a chain refines Alexandrov.
 
-    The chain must be totally ordered and ``x`` incomparable to all of it;
-    instances are capped at 8 elements because the premise is checked
-    against every linear extension.
+    The chain must be totally ordered and ``x`` incomparable to all of it.
+    The premise is decided from the rows, without enumerating extensions:
+    the weak lower contours of the linear extensions of ``p`` are exactly
+    its nonempty down-sets, so all extensions are lsc iff every up-set of
+    ``p`` is open, i.e. iff ``t`` refines ``alexandrov_topology(p)``
+    (``U^t_y`` within the up-set of y for each point y).
     """
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    # Refuse a bad instance before the enumeration, which is exponential.
-    _check_chain_and_outsider(p, chain, x)
-    exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)
-    return _report("chain-restriction", *_chain_restriction(p, [t], [(chain, x)], exts), started)
+    result = _chain_restriction(p, [t], [(chain, x)], alexandrov_topology(p))
+    return _report("chain-restriction", *result, started)
 
 
 def _chain_restriction(
     p: Preorder,
     ts: Sequence[Topology],
     pairs: Iterable[tuple[int, str]],
-    extensions: list[Preorder],
+    ta: Topology,
 ) -> tuple[int, int, list[TheoremViolation]]:
     """Core of :func:`check_chain_restriction` over the topologies ``ts`` and
     the (chain, outsider) ``pairs``, each of which is validated first;
-    ``extensions`` is ``enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)``.
-    Each distinct t is decided once: its premise, and then the conclusion
-    on each chain, which all outsiders of that chain share."""
+    ``ta`` is ``alexandrov_topology(p)``, and the premise in t is that t
+    refines it.  Each distinct t is decided once: its premise, and then the
+    conclusion on each chain, which all outsiders of that chain share."""
     pairs = list(pairs)
     for chain, x in pairs:
         _check_chain_and_outsider(p, chain, x)
     if not pairs:
         return 0, 0, []
-    contours = _premise_contours(extensions)
     chains = dict.fromkeys(chain for chain, _ in pairs)
 
     def decide(t: Topology) -> tuple[bool, dict[int, int]]:
         """The premise in t, and the missing open of each chain that fails
         the conclusion."""
-        if _first_not_closed(t.rows, contours) >= 0:
+        if not is_finer(t, ta).ok:
             return False, {}
         return True, {
             chain: missing
@@ -395,16 +394,6 @@ def _chain_restriction(
         if chain in failed
     ]
     return len(pairs) * len(ts), len(pairs) * held, violations
-
-
-def _premise_contours(extensions: list[Preorder]) -> set[int]:
-    """The chain-restriction premise (every linear extension lsc) as the
-    distinct weak lower contours of the extensions, all of which must be
-    closed.  The enumeration ran with the limit ``_EXHAUSTIVE_LIMIT + 1``
-    and past it holds only a prefix, so :class:`TooLargeError` is raised."""
-    if len(extensions) > _EXHAUSTIVE_LIMIT:
-        raise TooLargeError(_EXHAUSTIVE_LIMIT, len(extensions), what="linear extension list")
-    return {c for e in extensions for c in e.cols}
 
 
 def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | None:
@@ -431,11 +420,9 @@ def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | Non
 
 
 def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
-    """Validate a chain-restriction instance apart from its topology: ``p``
-    within the size cap, ``chain`` a nonempty chain of ``p``, and ``x`` a
-    point outside it that is comparable to none of it."""
-    if p.n > CHAIN_RESTRICTION_CAP:
-        raise TooLargeError(CHAIN_RESTRICTION_CAP, p.n)
+    """Validate a chain-restriction instance apart from its topology:
+    ``chain`` a nonempty chain of ``p``, and ``x`` a point outside it that
+    is comparable to none of it."""
     if not chain:
         raise PremiseFailedError("chain is empty")
     kernels.check_mask(chain, p.n)
@@ -751,7 +738,9 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     Each preorder is paired with a spread of topologies (its own derived
     ones, the two trivial ones, and seeded refinements) and run through
     every checker; chain-restriction instances enumerate every chain plus
-    incomparable outsider.  Sizes above :data:`SUITE_CAP` are refused
+    incomparable outsider, and decide their premise from the rows, so the
+    only linear extensions enumerated are the ``samples + 1`` that
+    linear-extensions-lsc reads.  Sizes above :data:`SUITE_CAP` are refused
     before anything is enumerated.  The suite runs the cores of the public
     ``check_*`` functions on the whole list of sample topologies, so its
     counts and violations are theirs.  Each theorem's ``elapsed`` is the
@@ -793,7 +782,7 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
             tallies["alexandrov-antitone"].record(*result)
             started = tallies["alexandrov-antitone"].charge(started)
 
-            exts = enumerate_linear_extensions(p, _EXHAUSTIVE_LIMIT + 1)
+            exts = enumerate_linear_extensions(p, samples + 1)
             q = quotient(p) if len(exts) > samples else None
             above = [ta, random_topology_between(ta, rng.randrange(1 << 30), 2)]
             seeds = [rng.randrange(1 << 30) for _ in above]
@@ -801,7 +790,7 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
             tallies["linear-extensions-lsc"].record(*result)
             started = tallies["linear-extensions-lsc"].charge(started)
 
-            result = _chain_restriction(p, sample_ts, _chain_outsider_pairs(p), exts)
+            result = _chain_restriction(p, sample_ts, _chain_outsider_pairs(p), ta)
             tallies["chain-restriction"].record(*result)
             started = tallies["chain-restriction"].charge(started)
     return _finish(tallies)

@@ -62,9 +62,11 @@ def test_decide_rp_obstruction_path(capsys, tmp_path):
     assert main(["validate", str(witness_file)]) == 0
 
 
-def test_check_lsc_witness_replay(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["check-lsc", "decide-rp", "represent"])
+def test_check_lsc_witness_replay(capsys, tmp_path, command):
+    # Every command that exits 1 prints a witness that reproduces the failure.
     code, payload = run_json(
-        capsys, "check-lsc", fx("chain3.json"), "--topology", "indiscrete"
+        capsys, command, fx("chain3.json"), "--topology", "indiscrete"
     )
     assert code == 1
     witness = payload["witness"]
@@ -75,7 +77,7 @@ def test_check_lsc_witness_replay(capsys, tmp_path):
     assert main(["validate", str(witness_file)]) == 0
     capsys.readouterr()
     # the embedded explicit topology reproduces the failure bit-for-bit
-    code, payload2 = run_json(capsys, "check-lsc", str(witness_file))
+    code, payload2 = run_json(capsys, command, str(witness_file))
     assert code == 1
     assert payload2["witness"]["detail"] == witness["detail"]
 
@@ -117,6 +119,17 @@ def test_theorems_command_small(capsys):
     reports = {r["theorem"]: r for r in payload["result"]["reports"]}
     assert reports["topology-coincidence"]["violations"] == 0
     assert reports["chain-restriction"]["non_vacuous"] > 0
+
+    # --all is accepted and ignored: every checker always runs.
+    code_without, without = run_json(capsys, "theorems", "--max-size", "2")
+
+    def untimed(envelope):
+        for r in envelope["result"]["reports"]:
+            del r["elapsed_seconds"]
+        return envelope
+
+    assert code_without == code
+    assert untimed(without) == untimed(payload)
 
 
 def test_mine_command(capsys):

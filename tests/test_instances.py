@@ -22,12 +22,40 @@ from ordtop.instances import (
     serialize_instance,
 )
 from tests.conftest import FIXTURES, fixture_text
+from tests.test_preorders import preorders
 
 
 def test_round_trip_all_fixtures():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = parse_instance(path.read_text(encoding="utf-8"))
         assert parse_instance(serialize_instance(doc)) == doc
+
+
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=12)
+
+
+@st.composite
+def explicit_documents(draw):
+    """A document of a preorder, an explicit topology on it, and functions
+    with rational values."""
+    p = draw(preorders())
+    t = ot.random_topology_between(
+        ot.indiscrete(p.n), draw(st.integers(0, 1 << 30)), draw(st.integers(0, 3))
+    )
+    names = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+    functions = {
+        name: ot.ValueFunction(
+            p.elements, tuple(draw(st.lists(rationals, min_size=p.n, max_size=p.n)))
+        )
+        for name in names
+    }
+    return make_document(p, t, functions)
+
+
+@given(explicit_documents())
+@settings(max_examples=60, deadline=None)
+def test_serialized_documents_parse_back(doc):
+    assert parse_instance(serialize_instance(doc)) == doc
 
 
 def test_minimal_chain_document(chain3):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ordtop as ot
-from ordtop import representations, theorems, topologies
+from ordtop import kernels, representations, theorems, topologies
 from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
 from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
@@ -154,7 +154,20 @@ def _hook_instance():
     return ot.build_preorder(("a", "b", "x"), [("a", "b")])
 
 
-def test_check_chain_restriction_examples():
+def _long_hook_instance():
+    # the chain e0 < ... < e19 beside 20 isolated points: 40!/20! linear extensions
+    labels = tuple(f"e{i}" for i in range(40))
+    return ot.build_preorder(labels, [(labels[i], labels[i + 1]) for i in range(19)])
+
+
+def _forbid_extension_enumeration(monkeypatch):
+    def fail(p, limit):
+        raise AssertionError("linear extensions enumerated for the chain-restriction premise")
+
+    monkeypatch.setattr(theorems, "enumerate_linear_extensions", fail)
+
+
+def test_check_chain_restriction_examples(monkeypatch):
     p = _hook_instance()
     chain = ot.mask_of(p, "ab")
 
@@ -171,20 +184,29 @@ def test_check_chain_restriction_examples():
         check_chain_restriction(p, ot.discrete(3), ot.mask_of(p, "ax"), "b")
     with pytest.raises(PremiseFailedError):
         check_chain_restriction(p, ot.discrete(3), ot.mask_of(p, "a"), "b")
-    with pytest.raises(TooLargeError):
-        big = ot.build_preorder(tuple(f"e{i}" for i in range(9)))
-        check_chain_restriction(big, ot.indiscrete(9), 1, "e1")
+
+    # No size cap: the premise is decided from the rows, never by enumeration.
+    _forbid_extension_enumeration(monkeypatch)
+    big = _long_hook_instance()
+    chain = ot.mask_of(big, [f"e{i}" for i in range(20)])
+    for t, premise in (
+        (ot.discrete(40), True),
+        (ot.alexandrov_topology(big), True),
+        (ot.upper_topology(big), True),
+        (ot.indiscrete(40), False),
+    ):
+        report = check_chain_restriction(big, t, chain, "e20")
+        assert report.ok and report.premise_held == premise
 
 
 def test_chain_restriction_refuses_bad_instances_before_enumerating(monkeypatch, vee):
-    def fail(p, limit):
-        raise AssertionError("linear extensions enumerated for a refused instance")
-
-    monkeypatch.setattr(theorems, "enumerate_linear_extensions", fail)
-    big = ot.build_preorder(tuple(f"e{i}" for i in range(9)))  # 9! extensions
-    with pytest.raises(TooLargeError) as exc:
-        check_chain_restriction(big, ot.discrete(9), ot.mask_of(big, ["e0"]), "e1")
-    assert (exc.value.limit, exc.value.actual) == (theorems.CHAIN_RESTRICTION_CAP, 9)
+    _forbid_extension_enumeration(monkeypatch)
+    big = _long_hook_instance()
+    report = check_chain_restriction(big, ot.discrete(40), ot.mask_of(big, ["e0"]), "e39")
+    assert report.ok and report.premise_held
+    with pytest.raises(PremiseFailedError) as exc:
+        check_chain_restriction(big, ot.discrete(40), ot.mask_of(big, ["e0", "e39"]), "e38")
+    assert exc.value.reason == "chain is not totally ordered"
     with pytest.raises(PremiseFailedError) as exc:
         check_chain_restriction(vee, ot.discrete(3), ot.mask_of(vee, "ab"), "c")
     assert exc.value.reason == "chain is not totally ordered"
@@ -437,18 +459,25 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
 
 
 def test_exhaustive_premise_refuses_a_truncated_extension_list(monkeypatch):
+    # The premise needs no extension list, so none can be truncated: the
+    # chain-restriction checker requests no extensions, and the others
+    # request only the samples + 1 that linear-extensions-lsc reads.
+    real = theorems.enumerate_linear_extensions
+    limits = []
+
+    def spy(p, limit):
+        limits.append(limit)
+        return real(p, limit)
+
+    monkeypatch.setattr(theorems, "enumerate_linear_extensions", spy)
     antichain4 = ot.build_preorder(default_labels(4))  # 4! = 24 linear extensions
-    chain = ot.mask_of(antichain4, "a")
-    monkeypatch.setattr(theorems, "_EXHAUSTIVE_LIMIT", 24)
-    assert check_chain_restriction(antichain4, ot.discrete(4), chain, "b").premise_held
-    monkeypatch.setattr(theorems, "_EXHAUSTIVE_LIMIT", 5)
-    with pytest.raises(TooLargeError) as public:
-        check_chain_restriction(antichain4, ot.discrete(4), chain, "b")
-    assert (public.value.limit, public.value.actual) == (5, 6)
-    # The suite meets the 3-element antichain (3! = 6 extensions) first.
-    with pytest.raises(TooLargeError) as suite:
-        theorems.run_theorem_suite(max_size=4, seed=0)
-    assert (suite.value.limit, suite.value.actual) == (5, 6)
+    report = check_chain_restriction(antichain4, ot.discrete(4), ot.mask_of(antichain4, "a"), "b")
+    assert report.premise_held and limits == []
+    report = check_linear_extensions_lsc(antichain4, ot.discrete(4), 3, 0)
+    assert report.instances_checked == 3 and limits == [4]
+    limits.clear()
+    theorems.run_theorem_suite(max_size=4, seed=0)
+    assert set(limits) == {5}  # the suite draws 4 samples per instance
 
 
 def _answers(suite):
@@ -559,7 +588,7 @@ def test_mask_cores_match_object_route():
             for order in orders:
                 rows, cols = _class_order_rows_cols(n, q, order)
                 assert tuple(cols) == ot.Preorder(p.elements, tuple(rows)).cols
-            premise = theorems._premise_contours(exts)
+            ta = ot.alexandrov_topology(p)
             belows, sublevels, _ = theorems._scott_family(p)
             members = [
                 representations.ValueFunction(p.elements, tuple(Fraction(v) for v in row))
@@ -575,7 +604,7 @@ def test_mask_cores_match_object_route():
                     (i for i, c in enumerate(p.cols) if not t.is_open(t.full_mask ^ c)), -1
                 )
                 assert topologies._first_not_closed(t.rows, p.cols) == first
-                assert (topologies._first_not_closed(t.rows, premise) < 0) == all(
+                assert ot.is_finer(t, ta).ok == all(
                     ot.preorder_semicontinuity(e, t, lower).ok for e in exts
                 )
                 verdicts = [ot.semicontinuity(g, t, lower) for g in members]
@@ -588,3 +617,49 @@ def test_mask_cores_match_object_route():
                     )
                     missing = theorems._chain_refines_alexandrov(p, t, chain)
                     assert missing == (None if fin.ok else fin.missing_open)
+
+
+def assert_premise_identity(p, ts):
+    """The chain-restriction premise, every linear extension of p lsc in t,
+    decided by enumerating the extensions, against ``is_finer(t, ta)``."""
+    exts = ot.enumerate_linear_extensions(p, 50_000)
+    assert len(exts) < 50_000  # the enumeration is complete
+    # The extension contours are exactly the nonempty down-sets of p ...
+    full = p.full_mask
+    contours = {c for e in exts for c in e.cols}
+    assert contours == {full ^ u for u in kernels.up_sets(list(p.rows)) if u != full}
+    # ... so every extension is lsc iff every up-set of p is open.
+    ta = ot.alexandrov_topology(p)
+    for t in ts:
+        assert ot.is_finer(t, ta).ok == (topologies._first_not_closed(t.rows, contours) < 0)
+
+
+def test_chain_restriction_premise_is_alexandrov_refinement():
+    # Every labelled (p, t) pair up to 4 points: on a finite set every
+    # topology is the Alexandrov topology of some preorder.
+    for n in range(1, 5):
+        ps = list(all_preorders(default_labels(n)))
+        every_t = [ot.Topology(n, q.rows) for q in ps]
+        for p in ps:
+            assert_premise_identity(p, every_t)
+    # The suite's six samples at 5 points.
+    for pi, p in enumerate(all_preorders(default_labels(5))):
+        assert_premise_identity(p, suite_topologies(p, pi, 5, seed=0))
+    # Seeded preorders on 6-8 points, with topologies on both sides of the
+    # boundary: Alexandrov topologies of a refinement (coarser than that of
+    # p) and of a sub-preorder (finer).
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(6, 8)
+        p = theorems.random_preorder(rng, default_labels(n))
+        dropped = [row & ~(rng.randrange(1 << n) & ~(1 << i)) for i, row in enumerate(p.rows)]
+        ts = [
+            ot.indiscrete(n),
+            ot.discrete(n),
+            ot.upper_topology(p),
+            ot.alexandrov_topology(p),
+            ot.alexandrov_topology(theorems.random_refinement(rng, p)),
+            ot.Topology(n, tuple(kernels.transitive_closure(dropped))),
+            ot.random_topology_between(ot.indiscrete(n), rng.randrange(1 << 30), 3),
+        ]
+        assert_premise_identity(p, ts)
