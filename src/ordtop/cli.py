@@ -116,8 +116,11 @@ def _humanise(result: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def _witness_payload(p: Preorder, t: Topology | None, detail: dict) -> dict:
+def _contour_witness(p: Preorder, t: Topology, element: str, contour: int, reason: str) -> dict:
+    """The witness of a contour of ``element`` that is not closed in ``t``:
+    the instance (p, t) and the contour's labels."""
     doc = instances.make_document(p, topology=t)
+    detail = {"element": element, "contour": list(labels_of(p, contour)), "reason": reason}
     return {"instance": json.loads(instances.serialize_instance(doc)), "detail": detail}
 
 
@@ -158,14 +161,7 @@ def cmd_check_lsc(args) -> int:
     if verdict.ok:
         return _emit(args, True, {"semicontinuous": True, "sense": args.sense})
     assert verdict.witness is not None and verdict.contour is not None
-    witness = _witness_payload(
-        p, t,
-        {
-            "element": verdict.witness,
-            "contour": list(labels_of(p, verdict.contour)),
-            "reason": "contour is not closed",
-        },
-    )
+    witness = _contour_witness(p, t, verdict.witness, verdict.contour, "contour is not closed")
     return _emit(args, False, {"semicontinuous": False, "sense": args.sense}, witness)
 
 
@@ -186,13 +182,8 @@ def cmd_represent(args) -> int:
         try:
             lsc = construct_lsc_multiutility(p, t)
         except err.NotLscPreorderError as exc:
-            witness = _witness_payload(
-                p, t,
-                {
-                    "element": exc.element,
-                    "contour": list(labels_of(p, exc.contour)),
-                    "reason": "preorder is not lower semicontinuous",
-                },
+            witness = _contour_witness(
+                p, t, exc.element, exc.contour, "preorder is not lower semicontinuous"
             )
             return _emit(args, False, result, witness)
         result["lsc_multiutility"] = _named_family_payload(
@@ -216,13 +207,9 @@ def cmd_decide_rp(args) -> int:
         }
         return _emit(args, True, result)
     assert outcome.obstruction is not None and outcome.obstruction_contour is not None
-    witness = _witness_payload(
-        p, t,
-        {
-            "element": outcome.obstruction,
-            "contour": list(labels_of(p, outcome.obstruction_contour)),
-            "reason": "weak lower contour is not closed",
-        },
+    witness = _contour_witness(
+        p, t, outcome.obstruction, outcome.obstruction_contour,
+        "weak lower contour is not closed",
     )
     return _emit(args, False, {"representable": False}, witness)
 

@@ -290,18 +290,16 @@ def quotient(p: Preorder) -> Quotient:
     class_masks: list[int] = []
     class_id: dict[int, int] = {}
     class_of: dict[str, int] = {}
-    reps: list[int] = []
+    reps = 0  # the first member of each class
     for i in range(p.n):
         m = p.eq_class_idx(i)
         if m not in class_id:
             class_id[m] = len(class_masks)
             class_masks.append(m)
-            reps.append(i)
+            reps |= 1 << i
         class_of[p.elements[i]] = class_id[m]
     labels = tuple(",".join(sorted(labels_of(p, m))) for m in class_masks)
-    rows = tuple(
-        sum(1 << cj for cj, rep in enumerate(reps) if p.rows[ri] >> rep & 1) for ri in reps
-    )
+    rows = tuple(kernels.compact_rows(p.rows, reps))
     return Quotient(Preorder(labels, rows), class_of, tuple(class_masks))
 
 

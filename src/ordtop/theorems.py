@@ -12,7 +12,7 @@ import functools
 import json
 import random
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ordtop import instances, kernels
 from ordtop.errors import (
@@ -23,7 +23,6 @@ from ordtop.errors import (
 )
 from ordtop.preorders import (
     Preorder,
-    Quotient,
     _class_order_rows_cols,
     _szpilrajn_class_order,
     build_preorder,
@@ -55,6 +54,11 @@ from ordtop.topologies import (
     upper_topology,
 )
 
+# The largest preorder that ``mine`` draws.  What bounds it is the 2^n
+# directed-subset scan behind ``scott_topology``, which topology-coincidence
+# and scott-necessity run for every trial: mine(114, 200, n) took 0.21,
+# 0.61, 2.3 and 9.5 s for n = 8, 10, 12 and 14 on a 2-vCPU container, and
+# those two theorems took 64% of it at 8 points and 85-99% from 10 up.
 MINE_CAP = 8
 SUITE_CAP = 6
 
@@ -122,51 +126,25 @@ def _violation(
     return TheoremViolation(theorem_id, instances.serialize_instance(doc), params or {}, detail)
 
 
-def _per_topology(ts: Sequence[Topology], decide: Callable, *aligned: Sequence) -> list:
-    """``decide(t, *entries)`` for each topology of ``ts``, in order, with its
-    entries of the ``aligned`` lists.  The topologies share one ground set,
-    so equal rows mean equal topologies: ``decide`` runs once per distinct
-    one, and its answer is repeated for each equal one."""
-    decided: dict[tuple[int, ...], object] = {}
-    for args in zip(ts, *aligned):
-        rows = args[0].rows
-        if rows not in decided:
-            decided[rows] = decide(*args)
-    return [decided[t.rows] for t in ts]
-
-
-def _totals(verdicts: list[tuple[bool, list[TheoremViolation]]]) -> tuple[int, int, list]:
-    """(checked, non_vacuous, violations) of one (premise held, violations)
-    verdict per instance."""
-    non_vacuous, violations = 0, []
-    for held, vs in verdicts:
-        non_vacuous += held
-        violations += vs
-    return len(verdicts), non_vacuous, violations
-
-
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
     started = time.perf_counter()
-    lsc = [preorder_semicontinuity(p, t, Sense.LOWER)]
-    return _report("lsc-iff-upper", *_lsc_iff_upper(p, [t], lsc, upper_topology(p)), started)
+    sc = preorder_semicontinuity(p, t, Sense.LOWER)
+    return _report("lsc-iff-upper", 1, 1, _lsc_iff_upper(p, t, sc, upper_topology(p)), started)
 
 
 def _lsc_iff_upper(
-    p: Preorder, ts: Sequence[Topology], lsc: Sequence[PreorderScVerdict], tu: Topology
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_lsc_iff_upper` over the topologies ``ts``;
-    ``lsc`` holds the lower semicontinuity verdict of ``p`` in each, and
-    ``tu`` is ``upper_topology(p)``."""
-
-    def decide(t: Topology, sc: PreorderScVerdict) -> tuple[bool, list[TheoremViolation]]:
-        rhs = is_finer(t, tu).ok
-        if sc.ok == rhs:
-            return True, []
-        detail = f"semicontinuity={sc.ok} but upper-refinement={rhs}"
-        return True, [_violation("lsc-iff-upper", p, t, detail=detail)]
-
-    return _totals(_per_topology(ts, decide, lsc))
+    p: Preorder, t: Topology, sc: PreorderScVerdict, tu: Topology
+) -> list[TheoremViolation]:
+    """Core of :func:`check_lsc_iff_upper`: the violations of the instance
+    (p, t), whose premise always holds.  ``sc`` is the lower
+    semicontinuity verdict of ``p`` in ``t`` and ``tu`` is
+    ``upper_topology(p)``."""
+    rhs = is_finer(t, tu).ok
+    if sc.ok == rhs:
+        return []
+    detail = f"semicontinuity={sc.ok} but upper-refinement={rhs}"
+    return [_violation("lsc-iff-upper", p, t, detail=detail)]
 
 
 def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
@@ -177,9 +155,10 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     instance a vacuous pass (after confirming the obstruction itself).
     """
     started = time.perf_counter()
-    lsc = [preorder_semicontinuity(p, t, Sense.LOWER)]
-    family, scott = (_scott_family(p), scott_topology(p)) if lsc[0].ok else (None, None)
-    return _report("scott-necessity", *_scott_necessity(p, [t], lsc, family, scott), started)
+    sc = preorder_semicontinuity(p, t, Sense.LOWER)
+    family, scott = (_scott_family(p), scott_topology(p)) if sc.ok else (None, None)
+    violations = _scott_necessity(p, t, sc, family, scott)
+    return _report("scott-necessity", 1, int(sc.ok), violations, started)
 
 
 def _scott_family(p: Preorder) -> tuple[list[list[int]], set[int], RepVerdict]:
@@ -203,52 +182,48 @@ def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tup
 
 def _scott_necessity(
     p: Preorder,
-    ts: Sequence[Topology],
-    lsc: Sequence[PreorderScVerdict],
+    t: Topology,
+    sc: PreorderScVerdict,
     family: tuple[list[list[int]], set[int], RepVerdict] | None,
     scott: Topology | None,
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_scott_necessity` over the topologies ``ts``;
-    ``lsc`` holds the lower semicontinuity verdict of ``p`` in each.  The
-    premise of an instance is that verdict.  ``family`` is
-    :func:`_scott_family` of ``p`` and ``scott`` is ``scott_topology(p)``;
-    only the instances whose premise holds read them, so both may be None
-    when it holds in none."""
-
-    def decide(t: Topology, sc: PreorderScVerdict) -> tuple[bool, list[TheoremViolation]]:
-        details = []
-        if not sc.ok:
-            assert sc.contour is not None
-            if is_closed(t, sc.contour):
-                details.append(f"obstruction contour of {sc.witness!r} is closed after all")
-        else:
-            assert family is not None and scott is not None
-            belows, sublevels, verdict = family
-            if not verdict.ok:
-                details.append(f"constructed family fails the RP check: {verdict.witness}")
-            for k, x in _members_not_lsc(t, belows, sublevels):
-                details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
-            fin = is_finer(t, scott)
-            if not fin.ok:
-                details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
-        return sc.ok, [_violation("scott-necessity", p, t, detail=d) for d in details]
-
-    return _totals(_per_topology(ts, decide, lsc))
+) -> list[TheoremViolation]:
+    """Core of :func:`check_scott_necessity`: the violations of the instance
+    (p, t).  Its premise is ``sc``, the lower semicontinuity verdict of
+    ``p`` in ``t``.  ``family`` is :func:`_scott_family` of ``p`` and
+    ``scott`` is ``scott_topology(p)``; only an instance whose premise
+    holds reads them, so both may be None when it fails."""
+    details = []
+    if not sc.ok:
+        assert sc.contour is not None
+        if is_closed(t, sc.contour):
+            details.append(f"obstruction contour of {sc.witness!r} is closed after all")
+    else:
+        assert family is not None and scott is not None
+        belows, sublevels, verdict = family
+        if not verdict.ok:
+            details.append(f"constructed family fails the RP check: {verdict.witness}")
+        for k, x in _members_not_lsc(t, belows, sublevels):
+            details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
+        fin = is_finer(t, scott)
+        if not fin.ok:
+            details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
+    return [_violation("scott-necessity", p, t, detail=d) for d in details]
 
 
 def check_alexandrov_antitone(p_coarse: Preorder, p_fine: Preorder) -> TheoremReport:
     """Refining the preorder can only shrink the Alexandrov topology."""
     started = time.perf_counter()
     ta_coarse, ta_fine = alexandrov_topology(p_coarse), alexandrov_topology(p_fine)
-    result = _alexandrov_antitone(p_coarse, p_fine, ta_coarse, ta_fine)
-    return _report("alexandrov-antitone", *result, started)
+    violations = _alexandrov_antitone(p_coarse, p_fine, ta_coarse, ta_fine)
+    return _report("alexandrov-antitone", 1, 1, violations, started)
 
 
 def _alexandrov_antitone(
     p_coarse: Preorder, p_fine: Preorder, ta_coarse: Topology, ta_fine: Topology
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_alexandrov_antitone`; ``ta_coarse`` and
-    ``ta_fine`` are the Alexandrov topologies of the two preorders."""
+) -> list[TheoremViolation]:
+    """Core of :func:`check_alexandrov_antitone`: the violations of its one
+    instance.  ``ta_coarse`` and ``ta_fine`` are the Alexandrov topologies
+    of the two preorders."""
     if p_coarse.elements != p_fine.elements:
         raise GroundMismatchError(p_coarse.n, p_fine.n)
     for i in range(p_coarse.n):
@@ -258,9 +233,9 @@ def _alexandrov_antitone(
             raise RefinementViolatedError((p_coarse.elements[i], p_coarse.elements[j]))
     fin = is_finer(ta_coarse, ta_fine)
     if fin.ok:
-        return 1, 1, []
+        return []
     coarse_relation = instances.make_document(p_coarse).relation
-    return 1, 1, [
+    return [
         _violation(
             "alexandrov-antitone", p_fine,
             params={"coarse_relation": [list(ab) for ab in coarse_relation]},
@@ -276,42 +251,34 @@ def check_linear_extensions_lsc(
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    exts = enumerate_linear_extensions(p, max(samples, 1) + 1)
-    q = quotient(p) if len(exts) > samples else None
-    result = _linear_extensions_lsc(p, [t], [seed], samples, alexandrov_topology(p), exts, q)
-    return _report("linear-extensions-lsc", *result, started)
+    checked, violations = _linear_extensions_lsc(p, [(t, seed)], samples, alexandrov_topology(p))
+    return _report("linear-extensions-lsc", checked, checked, violations, started)
 
 
 def _linear_extensions_lsc(
-    p: Preorder,
-    ts: Sequence[Topology],
-    seeds: Sequence[int],
-    samples: int,
-    ta: Topology,
-    extensions: list[Preorder],
-    q: Quotient | None,
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_linear_extensions_lsc` over the topologies ``ts``,
-    each with its seed in ``seeds``; ``ta`` is ``alexandrov_topology(p)``.
+    p: Preorder, cases: Sequence[tuple[Topology, int]], samples: int, ta: Topology
+) -> tuple[int, list[TheoremViolation]]:
+    """Core of :func:`check_linear_extensions_lsc` over the (topology, seed)
+    ``cases``; ``ta`` is ``alexandrov_topology(p)``.  Returns the
+    extensions checked, each a non-vacuous instance, and the violations.
 
-    ``extensions`` is ``enumerate_linear_extensions(p, limit)`` for a limit
-    above ``samples``, and ``samples + 1`` is all it reads.  When it holds
-    more than ``samples`` extensions,
-    ``samples`` of them are drawn per topology from ``q``, which is then
-    ``quotient(p)``; else all of them are checked.  A drawn extension stays
-    a class order: its contours are the prefix unions.
+    It enumerates ``max(samples, 1) + 1`` extensions of ``p``.  When there
+    are more than ``samples``, ``samples`` of them are drawn per topology
+    from ``quotient(p)``; else all of them are checked.  A drawn extension
+    stays a class order: its contours are the prefix unions.
     """
+    extensions = enumerate_linear_extensions(p, max(samples, 1) + 1)
+    # Without forced pairs the extension draws on the quotient's own order,
+    # so one quotient serves every sample.
+    q = quotient(p) if len(extensions) > samples else None
     checked, violations = 0, []
-    for t, seed in zip(ts, seeds):
+    for t, seed in cases:
         fin = is_finer(t, ta)
         if not fin.ok:
             raise PremiseFailedError(
                 "topology is not finer than the Alexandrov topology", fin.missing_open
             )
-        if len(extensions) > samples:
-            # Without forced pairs the extension draws on the quotient's own
-            # order, so one quotient serves every sample.
-            assert q is not None
+        if q is not None:
             orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
             contours = [_class_order_rows_cols(p.n, q, order)[1] for order in orders]
         else:
@@ -327,7 +294,7 @@ def _linear_extensions_lsc(
                     detail=f"extension contour of {p.elements[i % p.n]!r} is not closed",
                 )
             )
-    return checked, checked, violations
+    return checked, violations
 
 
 def check_chain_restriction(
@@ -345,55 +312,49 @@ def check_chain_restriction(
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    result = _chain_restriction(p, [t], [(chain, x)], alexandrov_topology(p))
-    return _report("chain-restriction", *result, started)
+    ta = alexandrov_topology(p)
+    _check_chain_and_outsider(p, chain, x)
+    failed = _chain_restriction(p, t, [chain], ta)
+    violations = _chain_violations(p, [(chain, x)], [(t, failed)])
+    return _report("chain-restriction", 1, int(failed is not None), violations, started)
 
 
 def _chain_restriction(
+    p: Preorder, t: Topology, chains: Sequence[int], ta: Topology
+) -> dict[int, int] | None:
+    """Core of :func:`check_chain_restriction` on the instance (p, t), for
+    each of the validated ``chains``: None when the premise fails, else the
+    missing open of each chain that fails the conclusion.  ``ta`` is
+    ``alexandrov_topology(p)``, and the premise is that ``t`` refines it.
+    All outsiders of a chain share its conclusion."""
+    if not is_finer(t, ta).ok:
+        return None
+    return {
+        chain: missing
+        for chain in chains
+        if (missing := _chain_refines_alexandrov(p, t, chain)) is not None
+    }
+
+
+def _chain_violations(
     p: Preorder,
-    ts: Sequence[Topology],
-    pairs: Iterable[tuple[int, str]],
-    ta: Topology,
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_chain_restriction` over the topologies ``ts`` and
-    the (chain, outsider) ``pairs``, each of which is validated first;
-    ``ta`` is ``alexandrov_topology(p)``, and the premise in t is that t
-    refines it.  Each distinct t is decided once: its premise, and then the
-    conclusion on each chain, which all outsiders of that chain share."""
-    pairs = list(pairs)
-    for chain, x in pairs:
-        _check_chain_and_outsider(p, chain, x)
-    if not pairs:
-        return 0, 0, []
-    chains = dict.fromkeys(chain for chain, _ in pairs)
-
-    def decide(t: Topology) -> tuple[bool, dict[int, int]]:
-        """The premise in t, and the missing open of each chain that fails
-        the conclusion."""
-        if not is_finer(t, ta).ok:
-            return False, {}
-        return True, {
-            chain: missing
-            for chain in chains
-            if (missing := _chain_refines_alexandrov(p, t, chain)) is not None
-        }
-
-    held, failing = 0, []  # failing: each t with the chains that fail in it
-    for t, (h, failed) in zip(ts, _per_topology(ts, decide)):
-        held += h
-        if failed:
-            failing.append((t, failed))
-    violations = [
+    pairs: Sequence[tuple[int, str]],
+    decided: Sequence[tuple[Topology, dict[int, int] | None]],
+) -> list[TheoremViolation]:
+    """The chain-restriction violations of each (chain, outsider) of
+    ``pairs`` in each topology of ``decided``, pair by pair and then in
+    the order of ``decided``, which pairs each topology with its
+    :func:`_chain_restriction` answer."""
+    return [
         _violation(
             "chain-restriction", p, t,
             params={"chain": list(labels_of(p, chain)), "x": x},
             detail=f"trace open {failed[chain]:#x} missing on the chain",
         )
         for chain, x in pairs
-        for t, failed in failing
-        if chain in failed
+        for t, failed in decided
+        if failed and chain in failed
     ]
-    return len(pairs) * len(ts), len(pairs) * held, violations
 
 
 def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | None:
@@ -401,20 +362,15 @@ def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | Non
     refines the Alexandrov topology of ``p`` restricted to it, i.e.
     ``t.rows[i] & chain`` lies in ``p.rows[i]`` for each i in the chain.
     None if it does, else the open missing as ``is_finer(subspace(t, chain),
-    alexandrov_topology(restrict(p, chain)))`` reports it, compacted."""
+    alexandrov_topology(restrict(p, chain)))`` reports it: the compacted
+    row of the first point that fails."""
     t_rows, p_rows = t.rows, p.rows
     m = chain
     while m:
         low = m & -m
         i = low.bit_length() - 1
         if t_rows[i] & chain & ~p_rows[i]:
-            trace = p_rows[i] & chain
-            missing = 0
-            while trace:
-                low = trace & -trace
-                missing |= 1 << (chain & (low - 1)).bit_count()  # its position in the chain
-                trace ^= low
-            return missing
+            return kernels.compact_rows(p_rows, chain)[(chain & (low - 1)).bit_count()]
         m ^= low
     return None
 
@@ -452,14 +408,15 @@ def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
     ts, tu, ta = scott_topology(p), upper_topology(p), alexandrov_topology(p)
-    return _report("topology-coincidence", *_topology_coincidence(p, ts, tu, ta), started)
+    return _report("topology-coincidence", 1, 1, _topology_coincidence(p, ts, tu, ta), started)
 
 
 def _topology_coincidence(
     p: Preorder, ts: Topology, tu: Topology, ta: Topology
-) -> tuple[int, int, list[TheoremViolation]]:
-    """Core of :func:`check_topology_coincidence`; ``ts``, ``tu`` and ``ta``
-    are the Scott, upper and Alexandrov topologies of ``p``."""
+) -> list[TheoremViolation]:
+    """Core of :func:`check_topology_coincidence`: the violations of its one
+    instance.  ``ts``, ``tu`` and ``ta`` are the Scott, upper and
+    Alexandrov topologies of ``p``."""
     violations = []
     if not is_finer(ts, tu).ok:
         violations.append(_violation("topology-coincidence", p, detail="upper not within scott"))
@@ -472,7 +429,7 @@ def _topology_coincidence(
             _violation("topology-coincidence", p,
                        detail="generators disagree at finite scale")
         )
-    return 1, 1, violations
+    return violations
 
 
 def replay_violation(v: TheoremViolation) -> TheoremReport:
@@ -608,23 +565,19 @@ def find_chain_and_outsider(p: Preorder, rng: random.Random) -> tuple[int, str] 
     """A nonempty chain mask plus an element incomparable to all of it."""
     order = list(range(p.n))
     rng.shuffle(order)
+    comparable = [r | c for r, c in zip(p.rows, p.cols)]
     for xi in order:
-        candidates = [
-            j
-            for j in range(p.n)
-            if j != xi and not p.leq_idx(xi, j) and not p.leq_idx(j, xi)
-        ]
-        if not candidates:
-            continue
-        chain: list[int] = []
-        for j in candidates:
-            if all(p.leq_idx(j, c) or p.leq_idx(c, j) for c in chain):
-                chain.append(j)
+        # Greedy over the points incomparable to x, ascending: each joins
+        # the chain when it is comparable to all of it so far.
+        chain = 0
+        m = p.full_mask & ~comparable[xi]
+        while m:
+            low = m & -m
+            if not chain & ~comparable[low.bit_length() - 1]:
+                chain |= low
+            m ^= low
         if chain:
-            mask = 0
-            for j in chain:
-                mask |= 1 << j
-            return mask, p.elements[xi]
+            return chain, p.elements[xi]
     return None
 
 
@@ -651,6 +604,13 @@ class _Tally:
         self.checked += checked
         self.non_vacuous += non_vacuous
         self.violations += violations
+
+    def per_sample(self, slots: Sequence[int], held: Sequence[bool], found: Sequence[list]) -> None:
+        """Add one instance per sample topology, in sample order: ``slots[k]``
+        indexes the distinct topology of sample k in ``held`` (its premise)
+        and ``found`` (its violations)."""
+        for i in slots:
+            self.record(1, held[i], found[i])
 
     def charge(self, started: float) -> float:
         """Add the time since ``started``; return now, to start the next block."""
@@ -741,11 +701,13 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     incomparable outsider, and decide their premise from the rows, so the
     only linear extensions enumerated are the ``samples + 1`` that
     linear-extensions-lsc reads.  Sizes above :data:`SUITE_CAP` are refused
-    before anything is enumerated.  The suite runs the cores of the public
-    ``check_*`` functions on the whole list of sample topologies, so its
-    counts and violations are theirs.  Each theorem's ``elapsed`` is the
-    time of its block, and work that several blocks share per preorder is
-    timed in the first block that needs it.
+    before anything is enumerated.  The six samples of each preorder are
+    grouped by rows once, and each (p, t) core of the public ``check_*``
+    functions runs once per distinct sample.  Its counts and violations
+    then count once per sample, in the order that one public call per
+    instance gives them, so the suite's answers are those calls'.  Each
+    theorem's ``elapsed`` is the time of its block, and work that several
+    blocks share per preorder is timed in the first block that needs it.
     """
     if max_size > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
@@ -765,33 +727,46 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            lsc = _per_topology(sample_ts, lambda t: preorder_semicontinuity(p, t, Sense.LOWER))
-            tallies["lsc-iff-upper"].record(*_lsc_iff_upper(p, sample_ts, lsc, tu))
+            # Equal rows mean equal topologies on one ground set: each core
+            # runs once per distinct sample, and slots[k] indexes sample k's.
+            index: dict[tuple[int, ...], int] = {}
+            slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
+            distinct = [sample_ts[slots.index(i)] for i in range(len(index))]
+            lsc = [preorder_semicontinuity(p, t, Sense.LOWER) for t in distinct]
+            found = [_lsc_iff_upper(p, t, sc, tu) for t, sc in zip(distinct, lsc)]
+            tallies["lsc-iff-upper"].per_sample(slots, [True] * len(distinct), found)
             started = tallies["lsc-iff-upper"].charge(started)
 
             ts = scott_topology(p)
-            tallies["topology-coincidence"].record(*_topology_coincidence(p, ts, tu, ta))
+            tallies["topology-coincidence"].record(1, 1, _topology_coincidence(p, ts, tu, ta))
             started = tallies["topology-coincidence"].charge(started)
 
-            result = _scott_necessity(p, sample_ts, lsc, _scott_family(p), ts)
-            tallies["scott-necessity"].record(*result)
+            family = _scott_family(p)
+            found = [_scott_necessity(p, t, sc, family, ts) for t, sc in zip(distinct, lsc)]
+            tallies["scott-necessity"].per_sample(slots, [sc.ok for sc in lsc], found)
             started = tallies["scott-necessity"].charge(started)
 
             fine = random_refinement(rng, p)
-            result = _alexandrov_antitone(p, fine, ta, _preorder_rows(n, fine.rows))
-            tallies["alexandrov-antitone"].record(*result)
+            violations = _alexandrov_antitone(p, fine, ta, _preorder_rows(n, fine.rows))
+            tallies["alexandrov-antitone"].record(1, 1, violations)
             started = tallies["alexandrov-antitone"].charge(started)
 
-            exts = enumerate_linear_extensions(p, samples + 1)
-            q = quotient(p) if len(exts) > samples else None
             above = [ta, random_topology_between(ta, rng.randrange(1 << 30), 2)]
-            seeds = [rng.randrange(1 << 30) for _ in above]
-            result = _linear_extensions_lsc(p, above, seeds, samples, ta, exts, q)
-            tallies["linear-extensions-lsc"].record(*result)
+            cases = [(t, rng.randrange(1 << 30)) for t in above]
+            checked, violations = _linear_extensions_lsc(p, cases, samples, ta)
+            tallies["linear-extensions-lsc"].record(checked, checked, violations)
             started = tallies["linear-extensions-lsc"].charge(started)
 
-            result = _chain_restriction(p, sample_ts, _chain_outsider_pairs(p), ta)
-            tallies["chain-restriction"].record(*result)
+            pairs = list(_chain_outsider_pairs(p))
+            for chain, x in pairs:
+                _check_chain_and_outsider(p, chain, x)
+            chains = list(dict.fromkeys(chain for chain, _ in pairs))
+            failed = [_chain_restriction(p, t, chains, ta) for t in distinct]
+            decided = [(distinct[i], failed[i]) for i in slots]
+            held = sum(f is not None for _, f in decided)
+            tallies["chain-restriction"].record(
+                len(pairs) * len(slots), len(pairs) * held, _chain_violations(p, pairs, decided)
+            )
             started = tallies["chain-restriction"].charge(started)
     return _finish(tallies)
 

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordtop import kernels
 from ordtop.errors import TooLargeError
-from ordtop.topologies import SCOTT_CAP
+from ordtop.topologies import SCOTT_CAP, _first_not_closed
+from tests.test_preorders import preorders
 
 
 def random_relation(rng: random.Random, n: int, closed: bool = True) -> list[int]:
@@ -157,3 +160,62 @@ def test_transitive_closure_on_wide_ground():
     closed = kernels.transitive_closure(rows)
     assert closed[0] >> 69 & 1 and closed[0] >> 35 & 1
     assert kernels.transitivity_violation(closed) is None
+
+
+def reach_by_search(raw: list[int]) -> list[int]:
+    """Oracle: the points reachable from each point by a path of one or more
+    steps, searched pair by pair."""
+    n = len(raw)
+    out = []
+    for i in range(n):
+        seen = {j for j in range(n) if raw[i] >> j & 1}
+        stack = list(seen)
+        while stack:
+            j = stack.pop()
+            for k in range(n):
+                if raw[j] >> k & 1 and k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        out.append(sum(1 << j for j in seen))
+    return out
+
+
+@st.composite
+def rows_masks_and_pairs(draw):
+    """A preorder's rows (up to 12 points), some subsets, and some extra pairs."""
+    rows = list(draw(preorders(max_size=12)).rows)
+    n = len(rows)
+    # A subset as one coin per point: drawn integers would favour small masks.
+    subset = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda coins: sum(coin << i for i, coin in enumerate(coins))
+    )
+    masks = draw(st.lists(subset, min_size=1, max_size=4))
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=n))
+    return rows, masks, pairs
+
+
+@settings(max_examples=100)
+@given(rows_masks_and_pairs())
+def test_row_kernels_match_pairwise_definitions(case):
+    rows, masks, pairs = case
+    n = len(rows)
+    leq = [[bool(rows[a] >> b & 1) for b in range(n)] for a in range(n)]
+    for mask in masks:
+        points = [i for i in range(n) if mask >> i & 1]
+        assert kernels.compact_rows(rows, mask) == [
+            sum(1 << k for k, j in enumerate(points) if leq[i][j]) for i in points
+        ]
+        escapes = [i for i in points if any(leq[i][j] and not mask >> j & 1 for j in range(n))]
+        assert kernels.first_escape(rows, mask) == (escapes[0] if escapes else -1)
+    # A mask is closed when no point outside it lies below a point inside it.
+    not_closed = [
+        k
+        for k, mask in enumerate(masks)
+        if any(leq[x][y] for x in range(n) for y in range(n) if mask >> y & 1 and not mask >> x & 1)
+    ]
+    assert _first_not_closed(rows, masks) == (not_closed[0] if not_closed else -1)
+    raw = list(rows)
+    for a, b in pairs:
+        raw[a] |= 1 << b
+    assert kernels.transitive_closure(raw) == reach_by_search(raw)
