@@ -12,7 +12,7 @@ import functools
 import json
 import random
 import time
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ordtop import instances, kernels
 from ordtop.errors import (
@@ -262,22 +262,25 @@ def _linear_extensions_lsc(
     ``cases``; ``ta`` is ``alexandrov_topology(p)``.  Returns the
     extensions checked, each a non-vacuous instance, and the violations.
 
-    It enumerates ``max(samples, 1) + 1`` extensions of ``p``.  When there
-    are more than ``samples``, ``samples`` of them are drawn per topology
-    from ``quotient(p)``; else all of them are checked.  A drawn extension
-    stays a class order: its contours are the prefix unions.
+    Every case's premise is decided first, so a failing one raises before
+    anything is enumerated.  It then enumerates ``max(samples, 1) + 1``
+    extensions of ``p``.  When there are more than ``samples``, ``samples``
+    of them are drawn per topology from ``quotient(p)``; else all of them
+    are checked.  A drawn extension stays a class order: its contours are
+    the prefix unions.
     """
+    for t, _ in cases:
+        fin = is_finer(t, ta)
+        if not fin.ok:
+            raise PremiseFailedError(
+                "topology is not finer than the Alexandrov topology", fin.missing_open
+            )
     extensions = enumerate_linear_extensions(p, max(samples, 1) + 1)
     # Without forced pairs the extension draws on the quotient's own order,
     # so one quotient serves every sample.
     q = quotient(p) if len(extensions) > samples else None
     checked, violations = 0, []
     for t, seed in cases:
-        fin = is_finer(t, ta)
-        if not fin.ok:
-            raise PremiseFailedError(
-                "topology is not finer than the Alexandrov topology", fin.missing_open
-            )
         if q is not None:
             orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
             contours = [_class_order_rows_cols(p.n, q, order)[1] for order in orders]
@@ -595,10 +598,6 @@ class _Tally:
         self.violations: list[TheoremViolation] = []
         self.elapsed = 0.0
 
-    def add(self, report: TheoremReport) -> None:
-        self.record(report.instances_checked, report.non_vacuous, report.violations)
-        self.elapsed += report.elapsed
-
     def record(self, checked: int, non_vacuous: int, violations: Sequence) -> None:
         """Add counts and violations but no time."""
         self.checked += checked
@@ -617,9 +616,6 @@ class _Tally:
         now = time.perf_counter()
         self.elapsed += now - started
         return now
-
-    def vacuous(self) -> None:
-        self.checked += 1
 
 
 class SuiteReport(NamedTuple):
@@ -644,51 +640,38 @@ def _finish(tallies: dict[str, _Tally]) -> SuiteReport:
 
 
 def mine(seed: int, trials: int, max_size: int) -> SuiteReport:
-    """Seeded random (preorder, topology) instances fed to every checker.
+    """Seeded random (preorder, topology) instances run through every theorem.
 
     A pure function of ``(seed, trials, max_size)``: each trial derives its
-    own generator, so aggregation is order-insensitive.
+    own generator, so aggregation is order-insensitive.  Each trial draws
+    one instance of each theorem and hands them to :func:`_check_preorder`,
+    the suite's driver.  A topology outside linear-extensions-lsc's premise
+    counts as a vacuous instance, and one drawn above the Alexandrov
+    topology is checked in its place; a preorder without a chain and
+    outsider counts as a vacuous chain-restriction instance.
     """
     if max_size > MINE_CAP:
         raise TooLargeError(MINE_CAP, max_size, what="mining instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
+    started = time.perf_counter()
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         n = rng.randint(2, max(2, max_size))
         p = random_preorder(rng, default_labels(n))
-        base_kind = rng.choice(("indiscrete", "upper", "alexandrov"))
-        if base_kind == "indiscrete":
-            base = indiscrete(n)
-        elif base_kind == "upper":
-            base = upper_topology(p)
-        else:
-            base = alexandrov_topology(p)
+        tu, ta = upper_topology(p), alexandrov_topology(p)
+        base = rng.choice((indiscrete(n), tu, ta))
         t = random_topology_between(base, rng.randrange(1 << 30), rng.randint(0, 3))
-
-        tallies["topology-coincidence"].add(check_topology_coincidence(p))
-        tallies["lsc-iff-upper"].add(check_lsc_iff_upper(p, t))
-        tallies["scott-necessity"].add(check_scott_necessity(p, t))
-        tallies["alexandrov-antitone"].add(
-            check_alexandrov_antitone(p, random_refinement(rng, p))
-        )
-        try:
-            tallies["linear-extensions-lsc"].add(
-                check_linear_extensions_lsc(p, t, samples=6, seed=rng.randrange(1 << 30))
-            )
-        except PremiseFailedError:
-            tallies["linear-extensions-lsc"].vacuous()
-            above = random_topology_between(
-                alexandrov_topology(p), rng.randrange(1 << 30), rng.randint(0, 2)
-            )
-            tallies["linear-extensions-lsc"].add(
-                check_linear_extensions_lsc(p, above, samples=6, seed=rng.randrange(1 << 30))
-            )
+        fine = random_refinement(rng, p)
+        case = (t, rng.randrange(1 << 30))
+        if not is_finer(t, ta).ok:
+            tallies["linear-extensions-lsc"].record(1, 0, ())
+            above = random_topology_between(ta, rng.randrange(1 << 30), rng.randint(0, 2))
+            case = (above, rng.randrange(1 << 30))
         found = find_chain_and_outsider(p, rng)
         if found is None:
-            tallies["chain-restriction"].vacuous()
-        else:
-            chain, x = found
-            tallies["chain-restriction"].add(check_chain_restriction(p, t, chain, x))
+            tallies["chain-restriction"].record(1, 0, ())
+        pairs = [found] if found else []
+        started = _check_preorder(tallies, started, p, tu, ta, [t], fine, [case], 6, pairs)
     return _finish(tallies)
 
 
@@ -697,17 +680,11 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
 
     Each preorder is paired with a spread of topologies (its own derived
     ones, the two trivial ones, and seeded refinements) and run through
-    every checker; chain-restriction instances enumerate every chain plus
-    incomparable outsider, and decide their premise from the rows, so the
-    only linear extensions enumerated are the ``samples + 1`` that
-    linear-extensions-lsc reads.  Sizes above :data:`SUITE_CAP` are refused
-    before anything is enumerated.  The six samples of each preorder are
-    grouped by rows once, and each (p, t) core of the public ``check_*``
-    functions runs once per distinct sample.  Its counts and violations
-    then count once per sample, in the order that one public call per
-    instance gives them, so the suite's answers are those calls'.  Each
-    theorem's ``elapsed`` is the time of its block, and work that several
-    blocks share per preorder is timed in the first block that needs it.
+    every theorem by :func:`_check_preorder`; chain-restriction instances
+    enumerate every chain plus incomparable outsider, and decide their
+    premise from the rows, so the only linear extensions enumerated are
+    the ``samples + 1`` that linear-extensions-lsc reads.  Sizes above
+    :data:`SUITE_CAP` are refused before anything is enumerated.
     """
     if max_size > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
@@ -727,48 +704,83 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
                 random_topology_between(tu, rng.randrange(1 << 30), 2),
                 random_topology_between(indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            # Equal rows mean equal topologies on one ground set: each core
-            # runs once per distinct sample, and slots[k] indexes sample k's.
-            index: dict[tuple[int, ...], int] = {}
-            slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
-            distinct = [sample_ts[slots.index(i)] for i in range(len(index))]
-            lsc = [preorder_semicontinuity(p, t, Sense.LOWER) for t in distinct]
-            found = [_lsc_iff_upper(p, t, sc, tu) for t, sc in zip(distinct, lsc)]
-            tallies["lsc-iff-upper"].per_sample(slots, [True] * len(distinct), found)
-            started = tallies["lsc-iff-upper"].charge(started)
-
-            ts = scott_topology(p)
-            tallies["topology-coincidence"].record(1, 1, _topology_coincidence(p, ts, tu, ta))
-            started = tallies["topology-coincidence"].charge(started)
-
-            family = _scott_family(p)
-            found = [_scott_necessity(p, t, sc, family, ts) for t, sc in zip(distinct, lsc)]
-            tallies["scott-necessity"].per_sample(slots, [sc.ok for sc in lsc], found)
-            started = tallies["scott-necessity"].charge(started)
-
             fine = random_refinement(rng, p)
-            violations = _alexandrov_antitone(p, fine, ta, _preorder_rows(n, fine.rows))
-            tallies["alexandrov-antitone"].record(1, 1, violations)
-            started = tallies["alexandrov-antitone"].charge(started)
-
             above = [ta, random_topology_between(ta, rng.randrange(1 << 30), 2)]
             cases = [(t, rng.randrange(1 << 30)) for t in above]
-            checked, violations = _linear_extensions_lsc(p, cases, samples, ta)
-            tallies["linear-extensions-lsc"].record(checked, checked, violations)
-            started = tallies["linear-extensions-lsc"].charge(started)
-
-            pairs = list(_chain_outsider_pairs(p))
-            for chain, x in pairs:
-                _check_chain_and_outsider(p, chain, x)
-            chains = list(dict.fromkeys(chain for chain, _ in pairs))
-            failed = [_chain_restriction(p, t, chains, ta) for t in distinct]
-            decided = [(distinct[i], failed[i]) for i in slots]
-            held = sum(f is not None for _, f in decided)
-            tallies["chain-restriction"].record(
-                len(pairs) * len(slots), len(pairs) * held, _chain_violations(p, pairs, decided)
+            started = _check_preorder(
+                tallies, started, p, tu, ta, sample_ts, fine, cases, samples,
+                _chain_outsider_pairs(p),
             )
-            started = tallies["chain-restriction"].charge(started)
     return _finish(tallies)
+
+
+def _check_preorder(
+    tallies: dict[str, _Tally],
+    started: float,
+    p: Preorder,
+    tu: Topology,
+    ta: Topology,
+    sample_ts: Sequence[Topology],
+    fine: Preorder,
+    cases: Sequence[tuple[Topology, int]],
+    samples: int,
+    pairs: Iterable[tuple[int, str]],
+) -> float:
+    """Run every theorem core on the preorder ``p`` and add the answers to
+    ``tallies``; the one driver of :func:`run_theorem_suite` and
+    :func:`mine`.
+
+    ``tu`` and ``ta`` are the upper and Alexandrov topologies of ``p``.
+    lsc-iff-upper and scott-necessity run in each of ``sample_ts``,
+    alexandrov-antitone on (p, ``fine``), linear-extensions-lsc on the
+    (topology, seed) ``cases`` with ``samples`` draws, and chain-restriction
+    on each validated (chain, outsider) of ``pairs`` in each of
+    ``sample_ts``.  The samples are grouped by rows once and each core runs
+    once per distinct one; its counts and violations then count once per
+    sample, in the order that one public ``check_*`` call per instance
+    gives them.  Each theorem is charged the time of its block, the first
+    block also the time since ``started``, which covers drawing the
+    inputs.  Returns the time the last block ended.
+    """
+    # Equal rows mean equal topologies on one ground set: each core runs
+    # once per distinct sample, and slots[k] indexes sample k's.
+    index: dict[tuple[int, ...], int] = {}
+    slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
+    distinct = [sample_ts[slots.index(i)] for i in range(len(index))]
+    lsc = [preorder_semicontinuity(p, t, Sense.LOWER) for t in distinct]
+    found = [_lsc_iff_upper(p, t, sc, tu) for t, sc in zip(distinct, lsc)]
+    tallies["lsc-iff-upper"].per_sample(slots, [True] * len(distinct), found)
+    started = tallies["lsc-iff-upper"].charge(started)
+
+    ts = scott_topology(p)
+    tallies["topology-coincidence"].record(1, 1, _topology_coincidence(p, ts, tu, ta))
+    started = tallies["topology-coincidence"].charge(started)
+
+    # Only an instance whose premise holds reads the family.
+    family = _scott_family(p) if any(sc.ok for sc in lsc) else None
+    found = [_scott_necessity(p, t, sc, family, ts) for t, sc in zip(distinct, lsc)]
+    tallies["scott-necessity"].per_sample(slots, [sc.ok for sc in lsc], found)
+    started = tallies["scott-necessity"].charge(started)
+
+    violations = _alexandrov_antitone(p, fine, ta, _preorder_rows(p.n, fine.rows))
+    tallies["alexandrov-antitone"].record(1, 1, violations)
+    started = tallies["alexandrov-antitone"].charge(started)
+
+    checked, violations = _linear_extensions_lsc(p, cases, samples, ta)
+    tallies["linear-extensions-lsc"].record(checked, checked, violations)
+    started = tallies["linear-extensions-lsc"].charge(started)
+
+    pairs = list(pairs)
+    for chain, x in pairs:
+        _check_chain_and_outsider(p, chain, x)
+    chains = list(dict.fromkeys(chain for chain, _ in pairs))
+    failed = [_chain_restriction(p, t, chains, ta) for t in distinct]
+    decided = [(distinct[i], failed[i]) for i in slots]
+    held = sum(f is not None for _, f in decided)
+    tallies["chain-restriction"].record(
+        len(pairs) * len(slots), len(pairs) * held, _chain_violations(p, pairs, decided)
+    )
+    return tallies["chain-restriction"].charge(started)
 
 
 def _chain_outsider_pairs(p: Preorder) -> Iterator[tuple[int, str]]:

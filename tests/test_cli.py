@@ -239,3 +239,35 @@ def test_open_listing_past_the_cap_exits_two(monkeypatch, capsys):
     code, out = run_cli(capsys, "topology", fx("chain3.json"), "--topology", "discrete", "--json")
     assert code == 2
     assert "capped at 7" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorems", "--max-size", "3"),
+        ("mine", "--seed", "3", "--trials", "25", "--max-size", "5"),
+    ],
+)
+def test_theorem_witness_replay(monkeypatch, capsys, tmp_path, argv):
+    # With the chain-restriction conclusion patched to fail, both commands
+    # exit 1; the witness replays through theorems.replay_violation to the
+    # same detail, and `ordtop validate` accepts its instance.
+    monkeypatch.setattr(theorems, "_chain_refines_alexandrov", lambda p, t, chain: chain)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1 and not payload["ok"]
+    witness = payload["witness"]
+    detail = witness["detail"]
+    assert detail["theorem"] == "chain-restriction"
+
+    violation = theorems.TheoremViolation(
+        detail["theorem"], json.dumps(witness["instance"]), detail["params"], detail["note"]
+    )
+    report = theorems.replay_violation(violation)
+    assert report.theorem_id == "chain-restriction"
+    assert [(v.detail, v.params) for v in report.violations] == [
+        (detail["note"], detail["params"])
+    ]
+
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(witness["instance"]))
+    assert main(["validate", str(witness_file)]) == 0

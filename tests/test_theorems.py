@@ -302,9 +302,38 @@ def test_run_theorem_suite_small():
     assert by_id["chain-restriction"].non_vacuous > 0
 
 
+def _answers(suite):
+    return [
+        (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
+        for r in suite.reports
+    ]
+
+
+class Counts:
+    """Per-theorem counts and violations of the reference loops, in the shape
+    of ``_answers``; kept apart from the tallies of the code they check."""
+
+    def __init__(self):
+        self.by_id = {tid: [0, 0, []] for tid in theorems.THEOREM_IDS}
+        self.vacuous_ids = []
+
+    def add(self, report):
+        entry = self.by_id[report.theorem_id]
+        entry[0] += report.instances_checked
+        entry[1] += report.non_vacuous
+        entry[2] += report.violations
+
+    def vacuous(self, theorem_id):
+        self.by_id[theorem_id][0] += 1
+        self.vacuous_ids.append(theorem_id)
+
+    def answers(self):
+        return [(tid, c, nv, tuple(v)) for tid, (c, nv, v) in self.by_id.items()]
+
+
 def reference_suite(max_size, seed):
     """The suite as one public checker call per instance, nothing shared."""
-    tallies = {tid: theorems._Tally() for tid in theorems.THEOREM_IDS}
+    counts = Counts()
     for n in range(1, max_size + 1):
         for pi, p in enumerate(all_preorders(default_labels(n))):
             rng = random.Random(seed * 7_777_777 + pi * 101 + n)
@@ -318,36 +347,102 @@ def reference_suite(max_size, seed):
                 ot.random_topology_between(tu, rng.randrange(1 << 30), 2),
                 ot.random_topology_between(ot.indiscrete(n), rng.randrange(1 << 30), 2),
             ]
-            tallies["topology-coincidence"].add(check_topology_coincidence(p))
+            counts.add(check_topology_coincidence(p))
             for t in sample_ts:
-                tallies["lsc-iff-upper"].add(check_lsc_iff_upper(p, t))
-                tallies["scott-necessity"].add(check_scott_necessity(p, t))
-            tallies["alexandrov-antitone"].add(
-                check_alexandrov_antitone(p, theorems.random_refinement(rng, p))
-            )
+                counts.add(check_lsc_iff_upper(p, t))
+                counts.add(check_scott_necessity(p, t))
+            counts.add(check_alexandrov_antitone(p, theorems.random_refinement(rng, p)))
             for t in (ta, ot.random_topology_between(ta, rng.randrange(1 << 30), 2)):
-                tallies["linear-extensions-lsc"].add(
+                counts.add(
                     check_linear_extensions_lsc(p, t, samples=4, seed=rng.randrange(1 << 30))
                 )
             for chain, x in theorems._chain_outsider_pairs(p):
                 for t in sample_ts:
-                    tallies["chain-restriction"].add(check_chain_restriction(p, t, chain, x))
-    return theorems._finish(tallies)
+                    counts.add(check_chain_restriction(p, t, chain, x))
+    return counts.answers()
 
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_suite_matches_public_checker_loop(seed):
-    def answers(suite):
-        return [
-            (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
-            for r in suite.reports
-        ]
-
     suite = theorems.run_theorem_suite(max_size=3, seed=seed)
-    assert answers(suite) == answers(reference_suite(3, seed))
+    assert _answers(suite) == reference_suite(3, seed)
     by_id = {r.theorem_id: r for r in suite.reports}
     assert 0 < by_id["chain-restriction"].non_vacuous < by_id["chain-restriction"].instances_checked
 
+
+def reference_mine(seed, trials, max_size):
+    """``mine`` as one public checker call per instance, nothing shared: a
+    failed linear-extensions-lsc premise is caught and retried above the
+    Alexandrov topology.  Returns the ``Counts``."""
+    counts = Counts()
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        n = rng.randint(2, max(2, max_size))
+        p = theorems.random_preorder(rng, default_labels(n))
+        base_kind = rng.choice(("indiscrete", "upper", "alexandrov"))
+        if base_kind == "indiscrete":
+            base = ot.indiscrete(n)
+        elif base_kind == "upper":
+            base = ot.upper_topology(p)
+        else:
+            base = ot.alexandrov_topology(p)
+        t = ot.random_topology_between(base, rng.randrange(1 << 30), rng.randint(0, 3))
+
+        counts.add(check_topology_coincidence(p))
+        counts.add(check_lsc_iff_upper(p, t))
+        counts.add(check_scott_necessity(p, t))
+        counts.add(check_alexandrov_antitone(p, theorems.random_refinement(rng, p)))
+        try:
+            counts.add(check_linear_extensions_lsc(p, t, samples=6, seed=rng.randrange(1 << 30)))
+        except PremiseFailedError:
+            counts.vacuous("linear-extensions-lsc")
+            above = ot.random_topology_between(
+                ot.alexandrov_topology(p), rng.randrange(1 << 30), rng.randint(0, 2)
+            )
+            counts.add(
+                check_linear_extensions_lsc(p, above, samples=6, seed=rng.randrange(1 << 30))
+            )
+        found = theorems.find_chain_and_outsider(p, rng)
+        if found is None:
+            counts.vacuous("chain-restriction")
+        else:
+            chain, x = found
+            counts.add(check_chain_restriction(p, t, chain, x))
+    return counts
+
+
+# (seed, trials, max_size): each run meets both vacuous paths of mine.
+MINE_RUNS = [(0, 60, 4), (114, 60, 8)]
+
+
+@pytest.mark.parametrize(("seed", "trials", "max_size"), MINE_RUNS)
+def test_mine_matches_public_checker_loop(seed, trials, max_size):
+    reference = reference_mine(seed, trials, max_size)
+    assert {"linear-extensions-lsc", "chain-restriction"} <= set(reference.vacuous_ids)
+    assert _answers(theorems.mine(seed, trials, max_size)) == reference.answers()
+
+
+def test_mine_reports_violations_in_public_checker_order(monkeypatch):
+    # Every lsc check goes through the closedness kernel.  Failing it on an
+    # even ground set gives lsc-iff-upper and linear-extensions-lsc
+    # violations in some trials only, and the witness depends on the masks,
+    # so their order and instances are compared too.
+    real = topologies._first_not_closed
+
+    def fails_on_even_ground(rows, masks):
+        masks = list(masks)
+        if masks and len(rows) % 2 == 0:
+            return masks.index(max(masks))
+        return real(rows, masks)
+
+    for module in (topologies, representations, theorems):
+        monkeypatch.setattr(module, "_first_not_closed", fails_on_even_ground)
+    for seed, trials, max_size in MINE_RUNS:
+        suite = theorems.mine(seed, trials, max_size)
+        assert _answers(suite) == reference_mine(seed, trials, max_size).answers()
+        by_id = {r.theorem_id: r for r in suite.reports}
+        assert len(by_id["lsc-iff-upper"].violations) > 1
+        assert len(by_id["linear-extensions-lsc"].violations) > 1
 
 
 def suite_topologies(p, pi, n, seed):
@@ -445,15 +540,8 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
         return missing
 
     monkeypatch.setattr(theorems, "_chain_refines_alexandrov", fails_when_discrete)
-
-    def answers(suite):
-        return [
-            (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
-            for r in suite.reports
-        ]
-
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
-    assert answers(suite) == answers(reference_suite(3, 0))
+    assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
     assert len(by_id["chain-restriction"].violations) > 0
 
@@ -475,16 +563,17 @@ def test_exhaustive_premise_refuses_a_truncated_extension_list(monkeypatch):
     assert report.premise_held and limits == []
     report = check_linear_extensions_lsc(antichain4, ot.discrete(4), 3, 0)
     assert report.instances_checked == 3 and limits == [4]
+    # A failing premise is decided before anything is enumerated.
+    limits.clear()
+    with pytest.raises(PremiseFailedError) as exc:
+        check_linear_extensions_lsc(antichain4, ot.indiscrete(4), 3, 0)
+    assert limits == []
+    assert exc.value.reason == "topology is not finer than the Alexandrov topology"
+    fin = ot.is_finer(ot.indiscrete(4), ot.alexandrov_topology(antichain4))
+    assert exc.value.witness == fin.missing_open
     limits.clear()
     theorems.run_theorem_suite(max_size=4, seed=0)
     assert set(limits) == {5}  # the suite draws 4 samples per instance
-
-
-def _answers(suite):
-    return [
-        (r.theorem_id, r.instances_checked, r.non_vacuous, r.violations)
-        for r in suite.reports
-    ]
 
 
 def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
@@ -505,7 +594,7 @@ def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
     for module in (topologies, representations, theorems):
         monkeypatch.setattr(module, "_first_not_closed", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
-    assert _answers(suite) == _answers(reference_suite(3, 0))
+    assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
     assert by_id["lsc-iff-upper"].violations and by_id["linear-extensions-lsc"].violations
 
@@ -522,7 +611,7 @@ def test_suite_checks_scott_family_members_in_each_topology(monkeypatch):
 
     monkeypatch.setattr(theorems, "_members_not_lsc", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
-    assert _answers(suite) == _answers(reference_suite(3, 0))
+    assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
     assert by_id["scott-necessity"].violations
 
