@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 = pass/success, 1 = a checked property is false (a witness
-is printed), 2 = usage or input error.  ``--json`` switches every command
-to a machine-readable envelope; failure envelopes embed a witness
-instance document that ``ordtop validate`` accepts back.
+is printed), 2 = usage or input error, 141 = stdout was closed before the
+output was written (a broken pipe; 128 + SIGPIPE).  ``--json`` switches
+every command to a machine-readable envelope, streamed to stdout; failure
+envelopes embed a witness instance document that ``ordtop validate``
+accepts back.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from ordtop.representations import (
     FunctionFamily,
     Sense,
     ValueFunction,
-    construct_finite_lsc_rp_multiutility,
+    _lsc_rp_keys,
     construct_indicator_multiutility,
     construct_lsc_multiutility,
     construct_rp_utility,
@@ -31,6 +34,11 @@ from ordtop.representations import (
 from ordtop.topologies import Topology
 
 _TOPOLOGY_CHOICES = ("upper", "alexandrov", "scott", "order", "discrete", "indiscrete")
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+# Encoded pieces written to stdout at a time by _write_json.
+_JSON_BATCH = 4096
 
 
 def _load_document(path: str) -> InstanceDocument:
@@ -88,7 +96,7 @@ def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
             "result": result,
             "witness": witness,
         }
-        print(json.dumps(envelope, indent=2))
+        _write_json(envelope)
     else:
         for line in _humanise(result):
             print(line)
@@ -98,6 +106,23 @@ def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
             if witness.get("detail"):
                 print(f"detail: {json.dumps(witness['detail'])}")
     return code
+
+
+def _write_json(obj) -> None:
+    """Print ``obj`` as ``json.dumps(obj, indent=2)`` does, without holding it whole.
+
+    The encoder's pieces are written a batch at a time: holding every piece
+    of a large listing costs megabytes, and writing them one by one costs a
+    system call each when stdout is unbuffered (``python -u``).
+    """
+    batch = []
+    for piece in json.JSONEncoder(indent=2).iterencode(obj):
+        batch.append(piece)
+        if len(batch) == _JSON_BATCH:
+            sys.stdout.write("".join(batch))
+            batch.clear()
+    batch.append("\n")
+    sys.stdout.write("".join(batch))
 
 
 def _humanise(result: dict, indent: str = "") -> list[str]:
@@ -196,21 +221,17 @@ def cmd_decide_rp(args) -> int:
     doc = _load_document(args.file)
     p = instances.document_preorder(doc)
     t = _resolve_topology(args.topology, doc, p)
-    outcome = construct_finite_lsc_rp_multiutility(p, t)
-    if outcome.has_family:
-        assert outcome.family is not None
-        result = {
-            "representable": True,
-            "family": _named_family_payload(
-                outcome.family, [f"g_{x}" for x in p.elements]
-            ),
+    # The integer rows that construct_finite_lsc_rp_multiutility lifts to
+    # Fractions; str() of an integer and of its Fraction agree.
+    sc, rows = _lsc_rp_keys(p, t)
+    if sc.ok:
+        family = {
+            f"g_{x}": {y: str(v) for y, v in zip(p.elements, row)}
+            for x, row in zip(p.elements, rows)
         }
-        return _emit(args, True, result)
-    assert outcome.obstruction is not None and outcome.obstruction_contour is not None
-    witness = _contour_witness(
-        p, t, outcome.obstruction, outcome.obstruction_contour,
-        "weak lower contour is not closed",
-    )
+        return _emit(args, True, {"representable": True, "family": family})
+    assert sc.witness is not None and sc.contour is not None
+    witness = _contour_witness(p, t, sc.witness, sc.contour, "weak lower contour is not closed")
     return _emit(args, False, {"representable": False}, witness)
 
 
@@ -335,7 +356,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at /dev/null so that the flush
+        # at exit is quiet, and exit with a code that no verdict uses.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except err.OrdtopError as exc:
         if getattr(args, "json", False):
             print(json.dumps({"command": args.command, "ok": False,

@@ -11,14 +11,16 @@ topology, function totality); serialisation is canonical so that
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from ordtop import errors as err
 from ordtop import kernels, topologies
 from ordtop.preorders import Preorder, build_preorder, labels_of, mask_of, quotient
 from ordtop.representations import FunctionFamily, ValueFunction
 from ordtop.topologies import Topology
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TOPOLOGY_MODES = ("upper", "alexandrov", "scott", "order", "explicit")
 
@@ -185,6 +187,8 @@ def _parse_functions(
 ) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
     if not isinstance(raw, dict):
         raise err.InstanceValidationError("functions", "must be an object")
+    from fractions import Fraction  # deferred: see representations._integer_function
+
     out = []
     for name in sorted(raw):
         table = raw[name]

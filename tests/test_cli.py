@@ -1,11 +1,19 @@
 """CLI behaviour: exit codes, JSON envelopes, and witness replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ordtop import kernels, theorems
+import ordtop
+from ordtop import cli, instances, kernels, theorems
 from ordtop.cli import main
+from ordtop.preorders import labels_of
+from ordtop.representations import construct_finite_lsc_rp_multiutility
+from ordtop.theorems import all_preorders, default_labels
 from tests.conftest import FIXTURES
 
 
@@ -60,6 +68,36 @@ def test_decide_rp_obstruction_path(capsys, tmp_path):
     witness_file = tmp_path / "witness.json"
     witness_file.write_text(json.dumps(payload["witness"]["instance"]))
     assert main(["validate", str(witness_file)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["upper", "alexandrov", "indiscrete"])
+def test_decide_rp_matches_the_library_construction(capsys, tmp_path, mode):
+    # The command prints its family from the integer rows; the library lifts
+    # the same rows to Fractions.  Both must agree on every small preorder.
+    doc_path = tmp_path / "p.json"
+    families = obstructions = 0
+    for n in (1, 2, 3):
+        for p in all_preorders(default_labels(n)):
+            doc_path.write_text(instances.serialize_instance(instances.make_document(p)))
+            code, payload = run_json(capsys, "decide-rp", str(doc_path), "--topology", mode)
+            expected = construct_finite_lsc_rp_multiutility(
+                p, instances.resolve_topology_mode(mode, p)
+            )
+            if expected.family is not None:
+                families += 1
+                assert code == 0 and payload["witness"] is None
+                assert payload["result"]["family"] == {
+                    f"g_{x}": {y: str(v) for y, v in f.as_dict().items()}
+                    for x, f in zip(p.elements, expected.family.members)
+                }
+            else:
+                obstructions += 1
+                assert code == 1 and payload["result"] == {"representable": False}
+                detail = payload["witness"]["detail"]
+                assert detail["element"] == expected.obstruction
+                assert detail["contour"] == list(labels_of(p, expected.obstruction_contour))
+    assert families > 0
+    assert obstructions > 0 or mode != "indiscrete"
 
 
 @pytest.mark.parametrize("command", ["check-lsc", "decide-rp", "represent"])
@@ -271,3 +309,40 @@ def test_theorem_witness_replay(monkeypatch, capsys, tmp_path, argv):
     witness_file = tmp_path / "witness.json"
     witness_file.write_text(json.dumps(witness["instance"]))
     assert main(["validate", str(witness_file)]) == 0
+
+
+def _antichain(tmp_path, n: int) -> str:
+    path = tmp_path / f"antichain{n}.json"
+    path.write_text(json.dumps({"elements": [f"e{i:02d}" for i in range(n)], "relation": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli._JSON_BATCH])
+def test_streamed_envelope_is_the_dumps_text(monkeypatch, capsys, tmp_path, batch):
+    monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+    code, out = run_cli(capsys, "topology", _antichain(tmp_path, 10), "--topology", "discrete",
+                        "--json")
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["result"]["open_count"] == 1024
+    assert out == json.dumps(envelope, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("points, head", [(14, 20), (3, 0)])
+def test_closed_stdout_exits_with_the_broken_pipe_code(tmp_path, unbuffered, points, head):
+    # 14 points: 2^14 opens, far more output than a pipe buffers, so the
+    # command meets the closed pipe mid-listing.  3 points: the reader is gone
+    # before the command starts, and a buffered stdout meets it at the flush.
+    env = dict(os.environ, PYTHONPATH=str(Path(ordtop.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "ordtop.cli", "topology", _antichain(tmp_path, points),
+            "--topology", "discrete", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(head) == b'{\n  "command": "topo'[:head]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -1,7 +1,9 @@
 """Record types: start-up cost, immutability, repr, equality and hashing.
 
 The records are plain classes and ``typing.NamedTuple``s, so that importing
-the CLI stays free of ``dataclasses`` and the modules it loads.
+the CLI stays free of ``dataclasses`` and the modules it loads; and a
+``Fraction`` is built only where a rational is returned or parsed, so that
+commands that build none never load ``fractions`` and ``decimal``.
 """
 
 import copy
@@ -16,10 +18,12 @@ from pathlib import Path
 import pytest
 
 import ordtop as ot
+from ordtop import instances
 from ordtop.errors import DomainMismatchError
 from ordtop.representations import ValueFunction
 from ordtop.theorems import TheoremReport, TheoremViolation
 from ordtop.topologies import FinerVerdict, Topology
+from tests.conftest import FIXTURES, fixture_text
 
 SRC = Path(ot.__file__).resolve().parent.parent
 
@@ -34,20 +38,72 @@ LAYERS = (
 )
 
 
-def test_cli_import_loads_every_layer_and_no_dataclasses():
+# fractions loads decimal (about 0.44 MB per process); only code that
+# builds a Fraction imports it.
+RATIONAL_MODULES = ("fractions", "decimal")
+
+
+def loaded_modules(commands: list[list[str]], tops: tuple[str, ...]) -> set[str]:
+    """The modules under ``tops`` loaded after ``import ordtop.cli`` and
+    ``cli.main`` on each of ``commands``, in a fresh interpreter."""
     probe = (
-        "import json, sys, ordtop.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('dataclasses', 'inspect', 'ordtop'))))"
+        "import json, sys, ordtop.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    ordtop.cli.main(argv)\n"
+        "print()\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    loaded = loaded_modules([], ("dataclasses", "inspect", "ordtop", *RATIONAL_MODULES))
+    for absent in ("dataclasses", "inspect", *RATIONAL_MODULES):
+        assert absent not in loaded
     assert set(LAYERS) <= loaded
+
+
+def test_commands_without_rationals_never_import_fractions():
+    chain = str(FIXTURES / "chain3.json")
+    commands = [
+        ["theorems", "--max-size", "2", "--json"],
+        ["mine", "--trials", "5", "--max-size", "4", "--json"],
+        ["topology", chain, "--topology", "upper", "--json"],
+        ["check-lsc", chain, "--topology", "indiscrete", "--json"],
+        ["decide-rp", chain, "--json"],
+        ["decide-rp", chain, "--topology", "indiscrete", "--json"],
+        ["decide-rp", str(FIXTURES / "parallel_chains.json"), "--topology", "alexandrov"],
+    ]
+    assert not loaded_modules(commands, RATIONAL_MODULES)
+    # The probe does see them once a rational is parsed or returned.
+    for argv in (["validate", str(FIXTURES / "vee.json")],
+                 ["represent", chain, "--topology", "upper"]):
+        assert loaded_modules([argv], RATIONAL_MODULES) == set(RATIONAL_MODULES)
+
+
+def test_constructors_return_fractions(vee, chain3):
+    t = ot.alexandrov_topology(vee)
+    lsc_rp = ot.construct_finite_lsc_rp_multiutility(vee, t)
+    assert lsc_rp.family is not None
+    functions = [
+        ot.construct_rp_utility(vee),
+        ot.rank_utility(chain3),
+        ValueFunction.from_mapping(("a", "b"), {"a": 1, "b": "2/3"}),
+        *ot.construct_indicator_multiutility(vee).members,
+        *ot.construct_lsc_multiutility(vee, t).members,
+        *lsc_rp.family.members,
+    ]
+    doc = instances.parse_instance(fixture_text("vee.json"))
+    assert doc.functions
+    values = [v for f in functions for v in f.values]
+    values += [v for _, row in doc.functions for v in row]
+    assert values and all(type(v) is Fraction for v in values)
+    assert ot.rank_utility(chain3).values == (Fraction(0), Fraction(1), Fraction(2))
 
 
 def test_records_refuse_assignment(vee):
