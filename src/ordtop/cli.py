@@ -53,21 +53,16 @@ def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> T
     """A mode name, a path to an instance carrying a topology, or the doc's own.
 
     An explicit topology from a file must name the instance's elements,
-    in any order: its opens are label lists, read against the instance.
+    in any order: :func:`instances.document_topology` re-indexes it by label.
     """
-    if spec is None:
-        t = instances.document_topology(doc, p)
-        if t is None:
-            raise err.OrdtopError(
-                "no topology: pass --topology MODE|FILE or add one to the instance"
-            )
-        return t
     if spec in _TOPOLOGY_CHOICES:
         return instances.resolve_topology_mode(spec, p)
-    other = _load_document(spec)
+    other = doc if spec is None else _load_document(spec)
+    if other.topology is None and spec is None:
+        raise err.OrdtopError("no topology: pass --topology MODE|FILE or add one to the instance")
     if other.topology is None:
         raise err.OrdtopError(f"topology file {spec} carries no topology")
-    if other.topology.mode == "explicit" and set(other.elements) != set(p.elements):
+    if other.topology.explicit is not None and set(other.elements) != set(p.elements):
         for label in p.elements:
             if label not in other.elements:
                 raise err.OrdtopError(f"topology file {spec} lacks element {label!r}")
@@ -75,7 +70,7 @@ def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> T
         raise err.OrdtopError(
             f"topology file {spec} has element {label!r}, which the instance lacks"
         )
-    return instances.resolve_topology_mode(other.topology.mode, p, other.topology.opens)
+    return instances.document_topology(other, p)
 
 
 def _function_payload(f: ValueFunction) -> dict[str, str]:
@@ -146,7 +141,7 @@ def _contour_witness(p: Preorder, t: Topology, element: str, contour: int, reaso
     the instance (p, t) and the contour's labels."""
     doc = instances.make_document(p, topology=t)
     detail = {"element": element, "contour": list(labels_of(p, contour)), "reason": reason}
-    return {"instance": json.loads(instances.serialize_instance(doc)), "detail": detail}
+    return {"instance": instances.document_payload(doc), "detail": detail}
 
 
 def cmd_validate(args) -> int:

@@ -5,7 +5,10 @@ A document carries a ground set, relation pairs, an optional topology
 rational functions.  Parsing validates everything it can (relation
 axioms when autoclose is off, that an explicit open family is exactly a
 topology, function totality); serialisation is canonical so that
-``parse(serialize(doc)) == doc``.
+``parse(serialize(doc)) == doc``.  An explicit topology is held as the
+:class:`Topology` that :func:`topologies.from_opens` validated, its rows
+indexed in the document's element order; its opens are label lists only
+in the JSON text.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from ordtop import errors as err
 from ordtop import kernels, topologies
-from ordtop.preorders import Preorder, build_preorder, labels_of, mask_of, quotient
+from ordtop.preorders import Preorder, build_preorder, mask_of, quotient
 from ordtop.representations import FunctionFamily, ValueFunction
 from ordtop.topologies import Topology
 
@@ -29,7 +32,7 @@ _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
 class TopologySpec(NamedTuple):
     mode: str
-    opens: tuple[tuple[str, ...], ...] | None = None
+    explicit: Topology | None = None
 
 
 class InstanceDocument(NamedTuple):
@@ -48,10 +51,6 @@ def _canonical_relation(
     return tuple(unique)
 
 
-def _canonical_opens(p: Preorder, opens: list[int]) -> tuple[tuple[str, ...], ...]:
-    return tuple(labels_of(p, m) for m in sorted(set(opens)))
-
-
 def make_document(
     p: Preorder,
     topology: Topology | None = None,
@@ -62,7 +61,9 @@ def make_document(
     relation = tuple((labels[i], labels[j]) for i, j in kernels.relation_pairs(p.rows))
     spec = None
     if topology is not None:
-        spec = TopologySpec("explicit", _canonical_opens(p, list(topology.opens)))
+        if topology.ground_size != p.n:
+            raise err.GroundMismatchError(p.n, topology.ground_size)
+        spec = TopologySpec("explicit", topology)
     funcs = None
     if functions is not None:
         funcs = tuple(
@@ -121,6 +122,8 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
 
     try:
         p = build_preorder(tuple(elements), relation, autoclose=autoclose)
+    except (err.EmptyUniverseError, err.DuplicateLabelError) as exc:
+        raise err.InstanceValidationError("elements", str(exc)) from None
     except err.OrdtopError as exc:
         raise err.InstanceValidationError("relation", str(exc)) from None
 
@@ -171,13 +174,8 @@ def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
             masks.append(mask_of(p, open_labels))
         except err.UnknownLabelError as exc:
             raise err.InstanceValidationError(f"topology.opens[{idx}]", str(exc)) from None
-    _explicit_topology(p, masks)
-    return TopologySpec("explicit", _canonical_opens(p, masks))
-
-
-def _explicit_topology(p: Preorder, masks: list[int]) -> Topology:
     try:
-        return topologies.from_opens(p.n, masks)
+        return TopologySpec("explicit", topologies.from_opens(p.n, masks))
     except err.NotATopologyError as exc:
         raise err.InstanceValidationError("topology.opens", exc.reason) from None
 
@@ -228,8 +226,12 @@ def _parse_functions(
     return tuple(out)
 
 
-def serialize_instance(doc: InstanceDocument) -> str:
-    """Canonical JSON text (fixed field order, sorted sets, reduced rationals)."""
+def _labels(elements: tuple[str, ...], mask: int) -> list[str]:
+    return [x for i, x in enumerate(elements) if mask >> i & 1]
+
+
+def document_payload(doc: InstanceDocument) -> dict[str, object]:
+    """The document as JSON values; the only place opens become label lists."""
     payload: dict[str, object] = {
         "elements": list(doc.elements),
         "relation": [list(pair) for pair in doc.relation],
@@ -237,15 +239,20 @@ def serialize_instance(doc: InstanceDocument) -> str:
     }
     if doc.topology is not None:
         tpay: dict[str, object] = {"mode": doc.topology.mode}
-        if doc.topology.opens is not None:
-            tpay["opens"] = [list(o) for o in doc.topology.opens]
+        if doc.topology.explicit is not None:
+            tpay["opens"] = [_labels(doc.elements, m) for m in doc.topology.explicit.opens]
         payload["topology"] = tpay
     if doc.functions is not None:
         payload["functions"] = {
             name: {x: str(v) for x, v in zip(doc.elements, values)}
             for name, values in doc.functions
         }
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def serialize_instance(doc: InstanceDocument) -> str:
+    """Canonical JSON text (fixed field order, sorted sets, reduced rationals)."""
+    return json.dumps(document_payload(doc), indent=2) + "\n"
 
 
 def document_preorder(doc: InstanceDocument) -> Preorder:
@@ -253,17 +260,23 @@ def document_preorder(doc: InstanceDocument) -> Preorder:
 
 
 def document_topology(doc: InstanceDocument, p: Preorder) -> Topology | None:
-    """Materialise the document's topology against its own preorder."""
+    """The document's topology on ``p``, whose elements are the document's
+    in any order: an explicit one is re-indexed to ``p`` by label, through
+    the validating :class:`Topology` constructor, so labels that differ
+    raise an :class:`~ordtop.errors.OrdtopError`."""
     if doc.topology is None:
         return None
-    return resolve_topology_mode(doc.topology.mode, p, doc.topology.opens)
+    t = doc.topology.explicit
+    if t is None:
+        return resolve_topology_mode(doc.topology.mode, p)
+    if p.elements == doc.elements:
+        return t
+    by_label = dict(zip(doc.elements, t.rows))
+    rows = (mask_of(p, _labels(doc.elements, by_label.get(x, 0))) for x in p.elements)
+    return Topology(p.n, tuple(rows))
 
 
-def resolve_topology_mode(
-    mode: str,
-    p: Preorder,
-    opens: tuple[tuple[str, ...], ...] | None = None,
-) -> Topology:
+def resolve_topology_mode(mode: str, p: Preorder) -> Topology:
     if mode == "upper":
         return topologies.upper_topology(p)
     if mode == "alexandrov":
@@ -276,10 +289,6 @@ def resolve_topology_mode(
         return topologies.discrete(p.n)
     if mode == "indiscrete":
         return topologies.indiscrete(p.n)
-    if mode == "explicit":
-        if opens is None:
-            raise err.InstanceValidationError("topology.opens", "required for explicit mode")
-        return _explicit_topology(p, [mask_of(p, o) for o in opens])
     raise err.InstanceValidationError("topology.mode", f"unknown mode {mode!r}")
 
 

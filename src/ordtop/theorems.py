@@ -648,15 +648,19 @@ def mine(seed: int, trials: int, max_size: int) -> SuiteReport:
     the suite's driver.  A topology outside linear-extensions-lsc's premise
     counts as a vacuous instance, and one drawn above the Alexandrov
     topology is checked in its place; a preorder without a chain and
-    outsider counts as a vacuous chain-restriction instance.
+    outsider counts as a vacuous chain-restriction instance.  Sizes are
+    drawn from 2 to ``max_size``, so a ``max_size`` below 2 raises
+    :class:`ValueError`.
     """
+    if max_size < 2:
+        raise ValueError("max_size must be at least 2")
     if max_size > MINE_CAP:
         raise TooLargeError(MINE_CAP, max_size, what="mining instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
     started = time.perf_counter()
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        n = rng.randint(2, max(2, max_size))
+        n = rng.randint(2, max_size)
         p = random_preorder(rng, default_labels(n))
         tu, ta = upper_topology(p), alexandrov_topology(p)
         base = rng.choice((indiscrete(n), tu, ta))

@@ -4,17 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordtop
-from ordtop import cli, instances, kernels, theorems
+from ordtop import cli, instances, kernels, theorems, topologies
 from ordtop.cli import main
 from ordtop.preorders import labels_of
 from ordtop.representations import construct_finite_lsc_rp_multiutility
 from ordtop.theorems import all_preorders, default_labels
 from tests.conftest import FIXTURES
+from tests.test_preorders import preorders
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +274,32 @@ def test_topology_file_with_other_labels_names_one(capsys, tmp_path, elements, m
     code, out = run_cli(capsys, "check-lsc", fx("chain3.json"), "--topology", t, "--json")
     assert code == 2
     assert message in json.loads(out)["error"]
+
+
+@given(preorders(), st.integers(0, 1 << 30), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_topology_file_in_any_label_order_reads_the_same_topology(p, seed, steps, data):
+    # A reversal is its own inverse; a random permutation is not, so this
+    # catches a re-index that applies the inverse permutation.
+    t = ordtop.random_topology_between(ordtop.indiscrete(p.n), seed, steps)
+    order = data.draw(st.permutations(p.elements))
+    opens = [list(labels_of(p, m)) for m in t.opens]
+    doc = instances.make_document(p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_text(json.dumps(
+            {"elements": order, "topology": {"mode": "explicit", "opens": opens}}
+        ))
+        assert cli._resolve_topology(str(path), doc, p) == t
+
+
+def test_explicit_topology_is_validated_once_per_command(monkeypatch, capsys):
+    calls = []
+    real = topologies.from_opens
+    monkeypatch.setattr(topologies, "from_opens", lambda *a: calls.append(a) or real(*a))
+    code, payload = run_json(capsys, "decide-rp", fx("equiv2.json"))
+    assert code == 0 and payload["result"]["representable"]
+    assert len(calls) == 1
 
 
 def test_open_listing_past_the_cap_exits_two(monkeypatch, capsys):

@@ -9,10 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop as ot
+from ordtop import kernels, topologies
 from ordtop.cli import main
-from ordtop.errors import InstanceSyntaxError, InstanceValidationError, OrdtopError
+from ordtop.errors import (
+    GroundMismatchError,
+    InstanceSyntaxError,
+    InstanceValidationError,
+    OrdtopError,
+)
 from ordtop.instances import (
+    TopologySpec,
     document_family,
+    document_payload,
     document_preorder,
     document_topology,
     export_dot,
@@ -108,6 +116,8 @@ def test_unknown_fields_rejected():
         ({"elements": ["a"], "functions": {"f": {"a": "x"}}}, "functions.f.a"),
         ({"elements": ["a"], "functions": {"f": {"a": 1}}}, "functions.f.a"),
         ({"elements": ["a"], "functions": {"f": {"a": "1", "z": "2"}}}, "functions.f"),
+        ({"elements": []}, "elements"),
+        ({"elements": ["a", "a"]}, "elements"),
     ],
 )
 def test_validation_error_paths(payload, path):
@@ -129,16 +139,63 @@ def test_axioms_of_explicit_topology_reverified():
     assert exc.value.path == "topology.opens"  # {a} | {b} missing
 
 
+def _explicit_text(opens) -> str:
+    return json.dumps(
+        {"elements": ["a", "b", "c"], "topology": {"mode": "explicit", "opens": opens}}
+    )
+
+
 def test_explicit_mode_validates_the_family():
-    p = ot.build_preorder(("a", "b", "c"))
     with pytest.raises(InstanceValidationError) as exc:
-        resolve_topology_mode("explicit", p, ((), ("a",), ("b",), ("a", "b", "c")))
+        parse_instance(_explicit_text([[], ["a"], ["b"], ["a", "b", "c"]]))
     assert exc.value.path == "topology.opens"
     with pytest.raises(InstanceValidationError) as exc:
-        resolve_topology_mode("explicit", p, (("a",), ("a", "b", "c")))
+        parse_instance(_explicit_text([["a"], ["a", "b", "c"]]))
     assert exc.value.reason == "empty set absent"
-    t = resolve_topology_mode("explicit", p, ((), ("a",), ("a", "b", "c")))
-    assert t == ot.generate(3, [0b001], ot.SubbasisRole.AS_OPEN_SUBBASIS)
+    doc = parse_instance(_explicit_text([[], ["a"], ["a", "b", "c"]]))
+    t = ot.generate(3, [0b001], ot.SubbasisRole.AS_OPEN_SUBBASIS)
+    assert doc.topology.explicit == t
+    assert document_topology(doc, document_preorder(doc)) == t
+
+
+def test_explicit_topology_is_held_as_validated_rows(monkeypatch):
+    calls = []
+    real = topologies.from_opens
+    monkeypatch.setattr(topologies, "from_opens", lambda *a: calls.append(a) or real(*a))
+    doc = parse_instance(_explicit_text([[], ["b"], ["a", "b"], ["a", "b", "c"]]))
+    assert len(calls) == 1
+    assert doc.topology == TopologySpec("explicit", ot.Topology(3, (0b011, 0b010, 0b111)))
+    assert document_topology(doc, document_preorder(doc)) is doc.topology.explicit
+
+
+def test_explicit_topology_on_other_labels_is_refused():
+    doc = parse_instance(_explicit_text([[], ["a"], ["a", "b", "c"]]))
+    with pytest.raises(OrdtopError):
+        document_topology(doc, ot.build_preorder(("a", "b")))
+    with pytest.raises(OrdtopError):
+        document_topology(doc, ot.build_preorder(("c", "b", "a", "d")))
+    with pytest.raises(OrdtopError):
+        document_topology(doc, ot.build_preorder(("c", "b", "x")))
+
+
+def test_derived_modes_resolve_without_opens(chain3):
+    assert resolve_topology_mode("upper", chain3) == ot.upper_topology(chain3)
+    with pytest.raises(InstanceValidationError) as exc:
+        resolve_topology_mode("explicit", chain3)
+    assert exc.value.path == "topology.mode"
+
+
+def test_make_document_lists_no_opens_until_serialised(vee, monkeypatch):
+    t = ot.alexandrov_topology(vee)
+    calls = []
+    real = kernels.up_sets
+    monkeypatch.setattr(kernels, "up_sets", lambda rows: calls.append(rows) or real(rows))
+    doc = make_document(vee, topology=t)
+    assert doc.topology.explicit is t and calls == []
+    payload = document_payload(doc)
+    assert len(calls) == 1
+    assert payload["topology"]["opens"] == [list(ot.labels_of(vee, m)) for m in t.opens]
+    assert serialize_instance(doc) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_syntax_error_carries_line():
@@ -196,6 +253,8 @@ def test_make_document_round_trips_topology(vee):
     assert parsed == doc
     assert document_preorder(parsed) == vee
     assert document_topology(parsed, vee) == t
+    with pytest.raises(GroundMismatchError):
+        make_document(vee, topology=ot.discrete(2))
 
 
 def test_export_dot_examples(chain3, vee):

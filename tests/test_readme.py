@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ordtop
-from ordtop import preorders
+from ordtop import instances, preorders
 from ordtop.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +43,12 @@ def test_readme_cli_line_exits_as_commented(argv, code, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)  # the example paths are relative to the repository
     assert main(argv) == code
     assert capsys.readouterr().out
+
+
+def test_readme_instance_example_parses_and_round_trips():
+    doc = instances.parse_instance(fenced_block("### Instance files", "json"))
+    assert instances.parse_instance(instances.serialize_instance(doc)) == doc
+    assert doc.topology == instances.TopologySpec("upper")
 
 
 def expected_value(comment: str, namespace: dict) -> object:

@@ -244,6 +244,12 @@ def test_mine_zero_violations_and_determinism():
         theorems.mine(seed=0, trials=1, max_size=9)
 
 
+@pytest.mark.parametrize("max_size", [1, 0, -5])
+def test_mine_refuses_sizes_below_two(max_size):
+    with pytest.raises(ValueError, match="at least 2"):
+        theorems.mine(seed=0, trials=3, max_size=max_size)
+
+
 def test_mine_seed_changes_instance_mix():
     gen0 = [
         theorems.random_preorder(random.Random(0 * 1_000_003 + t), default_labels(5))
