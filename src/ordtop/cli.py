@@ -274,7 +274,10 @@ def cmd_export(args) -> int:
     p = instances.document_preorder(doc)
     dot = instances.export_dot(p)
     if args.output:
-        Path(args.output).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.output).write_text(dot, encoding="utf-8")
+        except OSError as exc:
+            raise err.OrdtopError(f"cannot write {args.output}: {exc}") from None
         return _emit(args, True, {"written": args.output})
     if args.json:
         return _emit(args, True, {"dot": dot})

@@ -107,13 +107,18 @@ def _meet_into(rows: list[int], s: int) -> None:
         m ^= low
 
 
-def discrete(ground_size: int) -> Topology:
+def _check_ground_size(ground_size: int) -> None:
     if ground_size < 0:
         raise NotATopologyError(f"negative ground size {ground_size}")
+
+
+def discrete(ground_size: int) -> Topology:
+    _check_ground_size(ground_size)
     return _preorder_rows(ground_size, tuple(1 << x for x in range(ground_size)))
 
 
 def indiscrete(ground_size: int) -> Topology:
+    _check_ground_size(ground_size)
     return _preorder_rows(ground_size, ((1 << ground_size) - 1,) * ground_size)
 
 
@@ -127,6 +132,7 @@ def from_opens(ground_size: int, opens: Iterable[int]) -> Topology:
     from the empty set, so the family is exactly the topology of the rows.
     Costs O(|opens| * n); raises :class:`NotATopologyError` otherwise.
     """
+    _check_ground_size(ground_size)
     members = set()
     for m in opens:
         kernels.check_mask(m, ground_size)

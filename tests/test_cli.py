@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop
-from ordtop import cli, instances, kernels, theorems, topologies
+from ordtop import checkers, cli, instances, kernels, theorems, topologies
 from ordtop.cli import main
 from ordtop.preorders import labels_of
 from ordtop.representations import construct_finite_lsc_rp_multiutility
@@ -194,6 +194,25 @@ def test_export_to_file(capsys, tmp_path):
     assert target.read_text().startswith("digraph preorder {")
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("target", ["missing/vee.gv", "."])
+def test_export_to_an_unwritable_path_is_an_input_error(capsys, tmp_path, as_json, target):
+    # A missing directory and a directory target: exit 2, never 1 ("a
+    # property is false") with a traceback.
+    path = str(tmp_path / target)
+    argv = ["export", fx("vee.json"), "-o", path] + ["--json"] * as_json
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    if as_json:
+        payload = json.loads(captured.out)
+        assert (payload["command"], payload["ok"], payload["exit_code"]) == ("export", False, 2)
+        assert payload["error"].startswith(f"cannot write {path}: ")
+    else:
+        assert captured.out == ""
+
+
 def test_text_output_mode(capsys):
     code, out = run_cli(capsys, "check-lsc", fx("chain3.json"), "--topology", "indiscrete")
     assert code == 1
@@ -320,7 +339,7 @@ def test_theorem_witness_replay(monkeypatch, capsys, tmp_path, argv):
     # With the chain-restriction conclusion patched to fail, both commands
     # exit 1; the witness replays through theorems.replay_violation to the
     # same detail, and `ordtop validate` accepts its instance.
-    monkeypatch.setattr(theorems, "_chain_refines_alexandrov", lambda p, t, chain: chain)
+    monkeypatch.setattr(checkers, "_chain_refines_alexandrov", lambda p, t, chain: chain)
     code, payload = run_json(capsys, *argv)
     assert code == 1 and not payload["ok"]
     witness = payload["witness"]

@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +85,47 @@ def test_commands_without_rationals_never_import_fractions():
     for argv in (["validate", str(FIXTURES / "vee.json")],
                  ["represent", chain, "--topology", "upper"]):
         assert loaded_modules([argv], RATIONAL_MODULES) == set(RATIONAL_MODULES)
+
+
+# Tokens in the largest module; see test_no_module_exceeds_the_token_budget.
+MODULE_TOKEN_BUDGET = 3500
+
+
+def test_no_module_exceeds_the_token_budget():
+    """Every command compiles each module it loads from source (no bytecode
+    cache is assumed), and CPython parses a module in one arena of about
+    350 B per token.  That arena is freed, but the largest module's compile
+    peak sets the peak RSS of every process run from source; a module near
+    the budget is a cue to split it, as the checkers were split from the
+    suite drivers."""
+    sizes = {}
+    for path in sorted((SRC / "ordtop").rglob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            sizes[path.relative_to(SRC).as_posix()] = sum(
+                1 for _ in tokenize.generate_tokens(fh.readline)
+            )
+    over = {name: n for name, n in sizes.items() if n > MODULE_TOKEN_BUDGET}
+    assert not over, f"modules over {MODULE_TOKEN_BUDGET} tokens: {over}"
+
+
+def test_checkers_are_imported_beneath_the_theorems_layer():
+    # A per-layer import report (``-X importtime``) charges a module to the
+    # layer that first imported it, so the checkers count as theorems time.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import ordtop.cli"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # (indent, module) rows; a module is listed after those it imported,
+    # which are indented deeper.
+    rows = [
+        (len(name) - len(name.lstrip()), name.strip())
+        for name in (line.rsplit("|", 1)[1] for line in proc.stderr.splitlines())
+    ]
+    names = [name for _, name in rows]
+    i, j = names.index("ordtop.checkers"), names.index("ordtop.theorems")
+    assert i < j and all(indent > rows[j][0] for indent, _ in rows[i:j])
 
 
 def test_constructors_return_fractions(vee, chain3):

@@ -252,9 +252,17 @@ def test_rows_must_form_a_preorder():
     with pytest.raises(OutOfBoundsError):
         Topology(2, (0b101, 0b10))
     assert Topology(3, (0b011, 0b010, 0b111)).opens == (0, 0b010, 0b011, 0b111)
-    with pytest.raises(NotATopologyError):
-        ot.discrete(-1)
-    assert ot.discrete(0) == Topology(0, ())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ot.discrete, ot.indiscrete, pytest.param(lambda n: ot.from_opens(n, [0]), id="from_opens")],
+)
+def test_constructors_refuse_a_negative_ground_size(make):
+    with pytest.raises(NotATopologyError) as exc:
+        make(-1)
+    assert str(exc.value) == "not a topology: negative ground size -1"
+    assert make(0) == Topology(0, ())
 
 
 # --- differential checks against the closure oracle ---------------------------
