@@ -41,12 +41,16 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 _JSON_BATCH = 4096
 
 
-def _load_document(path: str) -> InstanceDocument:
+def _read_bytes(path: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise err.OrdtopError(f"cannot read {path}: {exc}") from None
-    return instances.parse_instance(data)
+
+
+def _load_document(path: str) -> InstanceDocument:
+    # No name holds the file's bytes, so the parse frees them once decoded.
+    return instances.parse_instance(_read_bytes(path))
 
 
 def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> Topology:

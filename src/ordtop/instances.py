@@ -88,8 +88,11 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             raise err.InstanceSyntaxError(
                 line, f"not UTF-8: byte {text[exc.start]:#04x} at offset {exc.start}"
             ) from None
+    # deferred, like fractions: a process that parses no document never compiles it
+    from ordtop.jsonread import read_document
+
     try:
-        raw = json.loads(text)
+        raw = read_document(text)
     except json.JSONDecodeError as exc:
         raise err.InstanceSyntaxError(exc.lineno, exc.msg) from None
     except (ValueError, RecursionError) as exc:
@@ -143,6 +146,8 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
 
 
 def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
+    from ordtop.jsonread import Opens
+
     if not isinstance(raw, dict):
         raise err.InstanceValidationError("topology", "must be an object")
     for key in raw:
@@ -153,29 +158,19 @@ def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
         raise err.InstanceValidationError(
             "topology.mode", f"must be one of {', '.join(TOPOLOGY_MODES)}"
         )
-    opens_raw = raw.get("opens")
+    opens = raw.get("opens")
     if mode != "explicit":
-        if opens_raw is not None:
+        if opens is not None:
             raise err.InstanceValidationError(
                 "topology.opens", "only valid when mode is explicit"
             )
         return TopologySpec(mode)
-    if not isinstance(opens_raw, list):
+    if not isinstance(opens, Opens):
         raise err.InstanceValidationError("topology.opens", "must be a list of label lists")
-    masks = []
-    for idx, open_labels in enumerate(opens_raw):
-        if not isinstance(open_labels, list) or not all(
-            isinstance(x, str) for x in open_labels
-        ):
-            raise err.InstanceValidationError(
-                f"topology.opens[{idx}]", "must be a list of labels"
-            )
-        try:
-            masks.append(mask_of(p, open_labels))
-        except err.UnknownLabelError as exc:
-            raise err.InstanceValidationError(f"topology.opens[{idx}]", str(exc)) from None
+    if isinstance(opens.masks, err.InstanceValidationError):
+        raise opens.masks
     try:
-        return TopologySpec("explicit", topologies.from_opens(p.n, masks))
+        return TopologySpec("explicit", topologies.from_opens(p.n, opens.masks))
     except err.NotATopologyError as exc:
         raise err.InstanceValidationError("topology.opens", exc.reason) from None
 
