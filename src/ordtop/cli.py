@@ -18,12 +18,9 @@ from pathlib import Path
 
 from ordtop import errors as err
 from ordtop import instances, theorems
-from ordtop.instances import InstanceDocument
 from ordtop.preorders import Preorder, labels_of
 from ordtop.representations import (
-    FunctionFamily,
     Sense,
-    ValueFunction,
     _lsc_rp_keys,
     construct_indicator_multiutility,
     construct_lsc_multiutility,
@@ -31,9 +28,6 @@ from ordtop.representations import (
     preorder_semicontinuity,
     rank_utility,
 )
-from ordtop.topologies import Topology
-
-_TOPOLOGY_CHOICES = ("upper", "alexandrov", "scott", "order", "discrete", "indiscrete")
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
@@ -41,48 +35,19 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 _JSON_BATCH = 4096
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise err.OrdtopError(f"cannot read {path}: {exc}") from None
-
-
-def _load_document(path: str) -> InstanceDocument:
-    # No name holds the file's bytes, so the parse frees them once decoded.
-    return instances.parse_instance(_read_bytes(path))
-
-
-def _resolve_topology(spec: str | None, doc: InstanceDocument, p: Preorder) -> Topology:
-    """A mode name, a path to an instance carrying a topology, or the doc's own.
-
-    An explicit topology from a file must name the instance's elements,
-    in any order: :func:`instances.document_topology` re-indexes it by label.
-    """
-    if spec in _TOPOLOGY_CHOICES:
-        return instances.resolve_topology_mode(spec, p)
-    other = doc if spec is None else _load_document(spec)
-    if other.topology is None and spec is None:
+def _instance(args) -> instances.Instance:
+    """The command's instance in the topology that ``--topology`` or the
+    document names; one of them must name one."""
+    inst = instances.read_instance(args.file, args.topology)
+    if inst.topology is None:
         raise err.OrdtopError("no topology: pass --topology MODE|FILE or add one to the instance")
-    if other.topology is None:
-        raise err.OrdtopError(f"topology file {spec} carries no topology")
-    if other.topology.explicit is not None and set(other.elements) != set(p.elements):
-        for label in p.elements:
-            if label not in other.elements:
-                raise err.OrdtopError(f"topology file {spec} lacks element {label!r}")
-        label = next(x for x in other.elements if x not in p.elements)
-        raise err.OrdtopError(
-            f"topology file {spec} has element {label!r}, which the instance lacks"
-        )
-    return instances.document_topology(other, p)
+    return inst
 
 
-def _function_payload(f: ValueFunction) -> dict[str, str]:
-    return {x: str(v) for x, v in zip(f.elements, f.values)}
-
-
-def _named_family_payload(family: FunctionFamily, names: list[str]) -> dict:
-    return {name: _function_payload(f) for name, f in zip(names, family.members)}
+def _family_payload(prefix: str, p: Preorder, members) -> dict:
+    """A family with one member per element x, named ``{prefix}_{x}``."""
+    names = (f"{prefix}_{x}" for x in p.elements)
+    return {name: instances.function_payload(p.elements, v) for name, v in zip(names, members)}
 
 
 def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
@@ -140,16 +105,14 @@ def _humanise(result: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def _contour_witness(p: Preorder, t: Topology, element: str, contour: int, reason: str) -> dict:
-    """The witness of a contour of ``element`` that is not closed in ``t``:
-    the instance (p, t) and the contour's labels."""
-    doc = instances.make_document(p, topology=t)
-    detail = {"element": element, "contour": list(labels_of(p, contour)), "reason": reason}
-    return {"instance": instances.document_payload(doc), "detail": detail}
+def _contour_witness(inst: instances.Instance, element: str, contour: int, reason: str) -> dict:
+    """The witness of ``element``'s unclosed contour: the instance and the contour."""
+    detail = {"element": element, "contour": list(labels_of(inst.p, contour)), "reason": reason}
+    return {"instance": instances.witness_payload(inst), "detail": detail}
 
 
 def cmd_validate(args) -> int:
-    doc = _load_document(args.file)
+    doc = instances.read_document(args.file)
     p = instances.document_preorder(doc)
     result = {
         "elements": p.n,
@@ -163,74 +126,61 @@ def cmd_validate(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    doc = _load_document(args.file)
-    p = instances.document_preorder(doc)
-    t = _resolve_topology(args.topology, doc, p)
-    opens = t.opens
+    inst = _instance(args)
+    opens = inst.topology.opens
     result = {
-        "mode": args.topology or (doc.topology.mode if doc.topology else "explicit"),
-        "ground_size": t.ground_size,
+        "mode": args.topology or inst.mode or "explicit",
+        "ground_size": inst.p.n,
         "open_count": len(opens),
-        "opens": [list(labels_of(p, o)) for o in opens],
+        "opens": [list(labels_of(inst.p, o)) for o in opens],
     }
     return _emit(args, True, result)
 
 
 def cmd_check_lsc(args) -> int:
-    doc = _load_document(args.file)
-    p = instances.document_preorder(doc)
-    t = _resolve_topology(args.topology, doc, p)
+    inst = _instance(args)
     sense = Sense.LOWER if args.sense == "lower" else Sense.UPPER
-    verdict = preorder_semicontinuity(p, t, sense)
+    verdict = preorder_semicontinuity(inst.p, inst.topology, sense)
     if verdict.ok:
         return _emit(args, True, {"semicontinuous": True, "sense": args.sense})
     assert verdict.witness is not None and verdict.contour is not None
-    witness = _contour_witness(p, t, verdict.witness, verdict.contour, "contour is not closed")
+    witness = _contour_witness(inst, verdict.witness, verdict.contour, "contour is not closed")
     return _emit(args, False, {"semicontinuous": False, "sense": args.sense}, witness)
 
 
 def cmd_represent(args) -> int:
-    doc = _load_document(args.file)
-    p = instances.document_preorder(doc)
-    indicator = construct_indicator_multiutility(p)
+    inst = instances.read_instance(args.file, args.topology)
+    p = inst.p
     result: dict = {
-        "indicator_multiutility": _named_family_payload(
-            indicator, [f"u_{x}" for x in p.elements]
+        "indicator_multiutility": _family_payload(
+            "u", p, (f.values for f in construct_indicator_multiutility(p).members)
         ),
-        "rp_utility": _function_payload(construct_rp_utility(p)),
+        "rp_utility": instances.function_payload(p.elements, construct_rp_utility(p).values),
     }
     if p.is_total():
-        result["rank_utility"] = _function_payload(rank_utility(p))
-    if args.topology is not None or (doc.topology is not None):
-        t = _resolve_topology(args.topology, doc, p)
+        result["rank_utility"] = instances.function_payload(p.elements, rank_utility(p).values)
+    if inst.topology is not None:
         try:
-            lsc = construct_lsc_multiutility(p, t)
+            lsc = construct_lsc_multiutility(p, inst.topology)
         except err.NotLscPreorderError as exc:
             witness = _contour_witness(
-                p, t, exc.element, exc.contour, "preorder is not lower semicontinuous"
+                inst, exc.element, exc.contour, "preorder is not lower semicontinuous"
             )
             return _emit(args, False, result, witness)
-        result["lsc_multiutility"] = _named_family_payload(
-            lsc, [f"v_{x}" for x in p.elements]
-        )
+        result["lsc_multiutility"] = _family_payload("v", p, (f.values for f in lsc.members))
     return _emit(args, True, result)
 
 
 def cmd_decide_rp(args) -> int:
-    doc = _load_document(args.file)
-    p = instances.document_preorder(doc)
-    t = _resolve_topology(args.topology, doc, p)
+    inst = _instance(args)
     # The integer rows that construct_finite_lsc_rp_multiutility lifts to
     # Fractions; str() of an integer and of its Fraction agree.
-    sc, rows = _lsc_rp_keys(p, t)
+    sc, rows = _lsc_rp_keys(inst.p, inst.topology)
     if sc.ok:
-        family = {
-            f"g_{x}": {y: str(v) for y, v in zip(p.elements, row)}
-            for x, row in zip(p.elements, rows)
-        }
+        family = _family_payload("g", inst.p, rows)
         return _emit(args, True, {"representable": True, "family": family})
     assert sc.witness is not None and sc.contour is not None
-    witness = _contour_witness(p, t, sc.witness, sc.contour, "weak lower contour is not closed")
+    witness = _contour_witness(inst, sc.witness, sc.contour, "weak lower contour is not closed")
     return _emit(args, False, {"representable": False}, witness)
 
 
@@ -274,9 +224,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_export(args) -> int:
-    doc = _load_document(args.file)
-    p = instances.document_preorder(doc)
-    dot = instances.export_dot(p)
+    dot = instances.export_dot(instances.document_preorder(instances.read_document(args.file)))
     if args.output:
         try:
             Path(args.output).write_text(dot, encoding="utf-8")

@@ -1,7 +1,7 @@
 """Instance documents: the JSON file format, parsing, and exporters.
 
 A document carries a ground set, relation pairs, an optional topology
-(either a derived mode or an explicit open family), and optional named
+(either a mode name or an explicit open family), and optional named
 rational functions.  Parsing validates everything it can (relation
 axioms when autoclose is off, that an explicit open family is exactly a
 topology, function totality); serialisation is canonical so that
@@ -14,18 +14,29 @@ in the JSON text.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ordtop import errors as err
 from ordtop import kernels, topologies
-from ordtop.preorders import Preorder, build_preorder, mask_of, quotient
+from ordtop.preorders import Preorder, build_preorder, labels_of, mask_of, quotient
 from ordtop.representations import FunctionFamily, ValueFunction
 from ordtop.topologies import Topology
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-TOPOLOGY_MODES = ("upper", "alexandrov", "scott", "order", "explicit")
+# The one table of mode names, each with its topology of a preorder.  A builder
+# looks its function up when it runs, so a name rebound in topologies is seen.
+TOPOLOGY_MODES: dict[str, Callable[[Preorder], Topology]] = {
+    "upper": lambda p: topologies.upper_topology(p),
+    "alexandrov": lambda p: topologies.alexandrov_topology(p),
+    "scott": lambda p: topologies.scott_topology(p),
+    "order": lambda p: topologies.order_topology(p),
+    "discrete": lambda p: topologies.discrete(p.n),
+    "indiscrete": lambda p: topologies.indiscrete(p.n),
+}
+DOCUMENT_MODES = (*TOPOLOGY_MODES, "explicit")
 
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
@@ -154,9 +165,9 @@ def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
         if key not in ("mode", "opens"):
             raise err.InstanceValidationError(f"topology.{key}", "unknown field")
     mode = raw.get("mode")
-    if mode not in TOPOLOGY_MODES:
+    if mode not in DOCUMENT_MODES:
         raise err.InstanceValidationError(
-            "topology.mode", f"must be one of {', '.join(TOPOLOGY_MODES)}"
+            "topology.mode", f"must be one of {', '.join(DOCUMENT_MODES)}"
         )
     opens = raw.get("opens")
     if mode != "explicit":
@@ -221,8 +232,9 @@ def _parse_functions(
     return tuple(out)
 
 
-def _labels(elements: tuple[str, ...], mask: int) -> list[str]:
-    return [x for i, x in enumerate(elements) if mask >> i & 1]
+def function_payload(elements: Sequence[str], values: Iterable[object]) -> dict[str, str]:
+    """A function's JSON form ``{label: "p/q"}``, the one place it is written."""
+    return {x: str(v) for x, v in zip(elements, values)}
 
 
 def document_payload(doc: InstanceDocument) -> dict[str, object]:
@@ -234,13 +246,14 @@ def document_payload(doc: InstanceDocument) -> dict[str, object]:
     }
     if doc.topology is not None:
         tpay: dict[str, object] = {"mode": doc.topology.mode}
-        if doc.topology.explicit is not None:
-            tpay["opens"] = [_labels(doc.elements, m) for m in doc.topology.explicit.opens]
+        t = doc.topology.explicit
+        if t is not None:
+            p = document_preorder(doc)
+            tpay["opens"] = [list(labels_of(p, m)) for m in t.opens]
         payload["topology"] = tpay
     if doc.functions is not None:
         payload["functions"] = {
-            name: {x: str(v) for x, v in zip(doc.elements, values)}
-            for name, values in doc.functions
+            name: function_payload(doc.elements, values) for name, values in doc.functions
         }
     return payload
 
@@ -256,9 +269,12 @@ def document_preorder(doc: InstanceDocument) -> Preorder:
 
 def document_topology(doc: InstanceDocument, p: Preorder) -> Topology | None:
     """The document's topology on ``p``, whose elements are the document's
-    in any order: an explicit one is re-indexed to ``p`` by label, through
-    the validating :class:`Topology` constructor, so labels that differ
-    raise an :class:`~ordtop.errors.OrdtopError`."""
+    in any order: an explicit one is re-indexed to ``p`` by label, and a
+    label that only one of the two has is named in the error."""
+    return _topology_on(doc, p, "explicit topology")
+
+
+def _topology_on(doc: InstanceDocument, p: Preorder, source: str) -> Topology | None:
     if doc.topology is None:
         return None
     t = doc.topology.explicit
@@ -266,25 +282,66 @@ def document_topology(doc: InstanceDocument, p: Preorder) -> Topology | None:
         return resolve_topology_mode(doc.topology.mode, p)
     if p.elements == doc.elements:
         return t
-    by_label = dict(zip(doc.elements, t.rows))
-    rows = (mask_of(p, _labels(doc.elements, by_label.get(x, 0))) for x in p.elements)
+    for label in p.elements:
+        if label not in doc.elements:
+            raise err.OrdtopError(f"{source} lacks element {label!r}")
+    for label in doc.elements:
+        if label not in p.elements:
+            raise err.OrdtopError(f"{source} has element {label!r}, which the instance lacks")
+    q = document_preorder(doc)
+    rows = (mask_of(p, labels_of(q, t.rows[q.index(x)])) for x in p.elements)
     return Topology(p.n, tuple(rows))
 
 
 def resolve_topology_mode(mode: str, p: Preorder) -> Topology:
-    if mode == "upper":
-        return topologies.upper_topology(p)
-    if mode == "alexandrov":
-        return topologies.alexandrov_topology(p)
-    if mode == "scott":
-        return topologies.scott_topology(p)
-    if mode == "order":
-        return topologies.order_topology(p)
-    if mode == "discrete":
-        return topologies.discrete(p.n)
-    if mode == "indiscrete":
-        return topologies.indiscrete(p.n)
-    raise err.InstanceValidationError("topology.mode", f"unknown mode {mode!r}")
+    """The topology of ``p`` that the mode name ``mode`` names."""
+    build = TOPOLOGY_MODES.get(mode)
+    if build is None:
+        raise err.InstanceValidationError("topology.mode", f"unknown mode {mode!r}")
+    return build(p)
+
+
+class Instance(NamedTuple):
+    """A preorder and the topology named for it (None when none was), with
+    the mode name that named it (None when explicit opens gave it)."""
+
+    p: Preorder
+    topology: Topology | None
+    mode: str | None
+
+
+def read_document(path: str) -> InstanceDocument:
+    """The instance document in the file at ``path``."""
+    try:
+        # No name holds the file's bytes, so the parse frees them once decoded.
+        return parse_instance(Path(path).read_bytes())
+    except OSError as exc:
+        raise err.OrdtopError(f"cannot read {path}: {exc}") from None
+
+
+def read_instance(path: str, topology: str | None = None) -> Instance:
+    """The instance in the file at ``path``, in the topology that ``topology``
+    names: a mode name, the path of an instance file carrying one (whose
+    explicit opens are read by label), or None for the document's own."""
+    doc = read_document(path)
+    p = document_preorder(doc)
+    if topology in TOPOLOGY_MODES:
+        return Instance(p, TOPOLOGY_MODES[topology](p), topology)
+    other = doc if topology is None else read_document(topology)
+    spec = other.topology
+    if spec is None and topology is not None:
+        raise err.OrdtopError(f"topology file {topology} carries no topology")
+    mode = spec.mode if spec is not None and spec.explicit is None else None
+    return Instance(p, _topology_on(other, p, f"topology file {topology}"), mode)
+
+
+def witness_payload(inst: Instance) -> dict[str, object]:
+    """``inst`` as a complete witness document: its topology by the mode name
+    that named it, if one did, else as explicit opens."""
+    doc = make_document(inst.p, inst.topology)
+    if inst.mode is not None:
+        doc = doc._replace(topology=TopologySpec(inst.mode))
+    return document_payload(doc)
 
 
 def document_functions(doc: InstanceDocument) -> dict[str, ValueFunction]:
@@ -309,23 +366,15 @@ def export_dot(p: Preorder) -> str:
     member labels with commas; edges are the covering pairs.  Ids are
     quoted, with backslashes and double quotes escaped.
     """
-    q = quotient(p)
-    k = q.order.n
-    ids = list(q.order.elements)
-    covers = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not q.order.leq_idx(i, j):
-                continue
-            between = False
-            for m in range(k):
-                if m in (i, j):
-                    continue
-                if q.order.leq_idx(i, m) and q.order.leq_idx(m, j):
-                    between = True
-                    break
-            if not between:
-                covers.append((ids[i], ids[j]))
+    q = quotient(p).order
+    ids, rows, cols = q.elements, q.rows, q.cols
+    # A cover of i is a minimal point j of the set strictly above i.
+    covers = [
+        (ids[i], ids[j])
+        for i in range(q.n)
+        for j in range(q.n)
+        if rows[i] & ~cols[i] & cols[j] == 1 << j
+    ]
     lines = ["digraph preorder {", "  rankdir=BT;"]
     for node in sorted(ids):
         lines.append(f"  {_dot_id(node)};")

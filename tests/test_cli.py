@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -118,10 +119,59 @@ def test_check_lsc_witness_replay(capsys, tmp_path, command):
     witness_file.write_text(json.dumps(witness["instance"]))
     assert main(["validate", str(witness_file)]) == 0
     capsys.readouterr()
-    # the embedded explicit topology reproduces the failure bit-for-bit
+    # the embedded topology, named by its mode, reproduces the failure bit-for-bit
+    assert witness["instance"]["topology"] == {"mode": "indiscrete"}
     code, payload2 = run_json(capsys, command, str(witness_file))
     assert code == 1
     assert payload2["witness"]["detail"] == witness["detail"]
+
+
+@pytest.mark.parametrize("points", [20, 21])
+def test_witness_names_a_mode_given_topology_by_its_mode(capsys, tmp_path, points):
+    # x0 < x1 beside isolated points: the upper topology has 3 * 2^(points-2)
+    # opens, past the listing cap at 21 points.  The verdict needs none of
+    # them, and neither does a witness that names the topology by its mode.
+    elements = [f"x{i}" for i in range(points)]
+    path = tmp_path / "hook.json"
+    path.write_text(json.dumps({"elements": elements, "relation": [["x0", "x1"]]}))
+    started = time.perf_counter()
+    code, payload = run_json(capsys, "check-lsc", str(path), "--topology", "upper",
+                             "--sense", "upper")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    witness = payload["witness"]
+    assert witness["instance"]["topology"] == {"mode": "upper"}
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(witness["instance"]))
+    assert main(["validate", str(witness_file)]) == 0
+    capsys.readouterr()
+    code, replay = run_json(capsys, "check-lsc", str(witness_file), "--sense", "upper")
+    assert code == 1 and replay["witness"] == witness
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("source", ["document", "file-mode", "file-opens"])
+def test_witness_names_a_topology_by_the_mode_that_named_it(capsys, tmp_path, source):
+    # A mode name in a document names the witness's topology, as one on the
+    # command line does; explicit opens stay explicit.
+    chain = {"elements": ["a", "b", "c"], "relation": [["a", "b"], ["b", "c"]],
+             "topology": {"mode": "indiscrete"}}
+    (tmp_path / "chain.json").write_text(json.dumps(chain))
+    (tmp_path / "named.json").write_text(
+        json.dumps({"elements": ["c", "b", "a"], "topology": {"mode": "indiscrete"}})
+    )
+    explicit = _explicit_chain(tmp_path, ["c", "b", "a"], [[], ["a", "b", "c"]])
+    argv = {
+        "document": [str(tmp_path / "chain.json")],
+        "file-mode": [fx("chain3.json"), "--topology", str(tmp_path / "named.json")],
+        "file-opens": [fx("chain3.json"), "--topology", explicit],
+    }[source]
+    code, payload = run_json(capsys, "check-lsc", *argv)
+    assert code == 1
+    assert payload["witness"]["instance"]["topology"] == (
+        {"mode": "explicit", "opens": [[], ["a", "b", "c"]]} if source == "file-opens"
+        else {"mode": "indiscrete"}
+    )
 
 
 def test_check_lsc_passes_for_upper(capsys):
@@ -185,6 +235,12 @@ def test_export_dot(capsys):
     assert code == 0
     assert out.startswith("digraph preorder {")
     assert '"a" -> "c";' in out
+
+
+def test_export_json_envelope_carries_the_dot(capsys, vee):
+    code, payload = run_json(capsys, "export", fx("vee.json"))
+    assert code == 0 and payload["ok"]
+    assert payload["result"] == {"dot": instances.export_dot(vee)}
 
 
 def test_export_to_file(capsys, tmp_path):
@@ -303,13 +359,39 @@ def test_topology_file_in_any_label_order_reads_the_same_topology(p, seed, steps
     t = ordtop.random_topology_between(ordtop.indiscrete(p.n), seed, steps)
     order = data.draw(st.permutations(p.elements))
     opens = [list(labels_of(p, m)) for m in t.opens]
-    doc = instances.make_document(p)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.json"
+        doc_path, path = Path(tmp) / "p.json", Path(tmp) / "t.json"
+        doc_path.write_text(instances.serialize_instance(instances.make_document(p)))
         path.write_text(json.dumps(
             {"elements": order, "topology": {"mode": "explicit", "opens": opens}}
         ))
-        assert cli._resolve_topology(str(path), doc, p) == t
+        assert instances.read_instance(str(doc_path), str(path)).topology == t
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check-lsc", fx("antichain2.json")),
+     "no topology: pass --topology MODE|FILE or add one to the instance"),
+    (("decide-rp", fx("vee.json"), "--topology", fx("antichain2.json")),
+     f"topology file {fx('antichain2.json')} carries no topology"),
+])
+def test_a_command_without_a_topology_is_an_input_error(capsys, argv, message):
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
+@pytest.mark.parametrize("mode", list(instances.TOPOLOGY_MODES))
+def test_topology_accepts_every_mode_name(capsys, tmp_path, vee, mode):
+    # --topology MODE and a document's {"mode": MODE} name the same topology.
+    code, by_flag = run_json(capsys, "topology", fx("vee.json"), "--topology", mode)
+    path = tmp_path / "vee.json"
+    doc = instances.make_document(vee)._replace(topology=instances.TopologySpec(mode))
+    path.write_text(instances.serialize_instance(doc))
+    code_doc, by_doc = run_json(capsys, "topology", str(path))
+    assert code == code_doc == 0
+    assert by_flag == by_doc
+    t = instances.TOPOLOGY_MODES[mode](vee)
+    assert by_flag["result"]["opens"] == [list(labels_of(vee, m)) for m in t.opens]
 
 
 def test_explicit_topology_is_validated_once_per_command(monkeypatch, capsys):

@@ -31,6 +31,7 @@ from ordtop.instances import (
     resolve_topology_mode,
     serialize_instance,
 )
+from ordtop.theorems import all_preorders, default_labels
 from tests.conftest import FIXTURES, fixture_text
 from tests.test_preorders import preorders
 
@@ -120,6 +121,9 @@ def test_unknown_fields_rejected():
         ({"elements": ["a"], "functions": {"f": {"a": "1", "z": "2"}}}, "functions.f"),
         ({"elements": []}, "elements"),
         ({"elements": ["a", "a"]}, "elements"),
+        ({"elements": ["a"], "topology": {"mode": "upper", "basis": []}}, "topology.basis"),
+        ({"elements": ["a"], "functions": []}, "functions"),
+        ({"elements": ["a"], "functions": {"f": 3}}, "functions.f"),
     ],
 )
 def test_validation_error_paths(payload, path):
@@ -171,17 +175,39 @@ def test_explicit_topology_is_held_as_validated_rows(monkeypatch):
 
 
 def test_explicit_topology_on_other_labels_is_refused():
+    # The error names a label that only one of the two has.
     doc = parse_instance(_explicit_text([[], ["a"], ["a", "b", "c"]]))
-    with pytest.raises(OrdtopError):
-        document_topology(doc, ot.build_preorder(("a", "b")))
-    with pytest.raises(OrdtopError):
-        document_topology(doc, ot.build_preorder(("c", "b", "a", "d")))
-    with pytest.raises(OrdtopError):
-        document_topology(doc, ot.build_preorder(("c", "b", "x")))
+    for elements, message in [
+        (("a", "b"), "explicit topology has element 'c', which the instance lacks"),
+        (("c", "b", "a", "d"), "explicit topology lacks element 'd'"),
+        (("c", "b", "x"), "explicit topology lacks element 'x'"),
+    ]:
+        with pytest.raises(OrdtopError) as exc:
+            document_topology(doc, ot.build_preorder(elements))
+        assert str(exc.value) == message
+
+
+BUILDERS = {
+    "upper": ot.upper_topology,
+    "alexandrov": ot.alexandrov_topology,
+    "scott": ot.scott_topology,
+    "order": ot.order_topology,
+    "discrete": lambda p: ot.discrete(p.n),
+    "indiscrete": lambda p: ot.indiscrete(p.n),
+}
 
 
 def test_derived_modes_resolve_without_opens(chain3):
-    assert resolve_topology_mode("upper", chain3) == ot.upper_topology(chain3)
+    # One vocabulary: every mode name resolves alone and in a document.
+    assert list(instances.TOPOLOGY_MODES) == list(BUILDERS)
+    assert instances.DOCUMENT_MODES == (*BUILDERS, "explicit")
+    for mode, build in BUILDERS.items():
+        assert resolve_topology_mode(mode, chain3) == build(chain3)
+        doc = parse_instance(json.dumps({"elements": ["a", "b", "c"],
+                                         "relation": [["a", "b"], ["b", "c"]],
+                                         "topology": {"mode": mode}}))
+        assert doc.topology == TopologySpec(mode)
+        assert document_topology(doc, chain3) == build(chain3)
     with pytest.raises(InstanceValidationError) as exc:
         resolve_topology_mode("explicit", chain3)
     assert exc.value.path == "topology.mode"
@@ -275,6 +301,44 @@ def test_export_dot_examples(chain3, vee):
     lines = [ln.strip() for ln in dot.splitlines()]
     assert '"a,b";' in lines and '"a,b" -> "c";' in lines
     assert sum(1 for ln in lines if "->" in ln) == 1
+
+
+def _oracle_export_dot(p):
+    """``export_dot`` with the covering pairs found by the definition: i < j
+    with no third class strictly between them."""
+    q = ot.quotient(p)
+    k = q.order.n
+    ids = list(q.order.elements)
+    covers = []
+    for i in range(k):
+        for j in range(k):
+            if i == j or not q.order.leq_idx(i, j):
+                continue
+            between = False
+            for m in range(k):
+                if m in (i, j):
+                    continue
+                if q.order.leq_idx(i, m) and q.order.leq_idx(m, j):
+                    between = True
+                    break
+            if not between:
+                covers.append((ids[i], ids[j]))
+    lines = ["digraph preorder {", "  rankdir=BT;"]
+    for node in sorted(ids):
+        lines.append(f"  {instances._dot_id(node)};")
+    for src, dst in sorted(covers):
+        lines.append(f"  {instances._dot_id(src)} -> {instances._dot_id(dst)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dot_covers_match_the_definition():
+    cases = [p for n in range(1, 5) for p in all_preorders(default_labels(n))]
+    cases += [document_preorder(parse_instance(path.read_text(encoding="utf-8")))
+              for path in sorted(FIXTURES.glob("*.json"))]
+    assert len(cases) == 389 + 6
+    for p in cases:
+        assert export_dot(p) == _oracle_export_dot(p)
 
 
 def test_export_dot_escapes_quotes_and_backslashes():
@@ -395,9 +459,9 @@ def _oracle_topology(raw, p):
         if key not in ("mode", "opens"):
             raise InstanceValidationError(f"topology.{key}", "unknown field")
     mode = raw.get("mode")
-    if mode not in instances.TOPOLOGY_MODES:
+    if mode not in instances.DOCUMENT_MODES:
         raise InstanceValidationError(
-            "topology.mode", f"must be one of {', '.join(instances.TOPOLOGY_MODES)}"
+            "topology.mode", f"must be one of {', '.join(instances.DOCUMENT_MODES)}"
         )
     opens_raw = raw.get("opens")
     if mode != "explicit":

@@ -51,6 +51,20 @@ def test_readme_instance_example_parses_and_round_trips():
     assert doc.topology == instances.TopologySpec("upper")
 
 
+def backticked(text: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_mode_names_are_the_table_keys():
+    # README names the modes twice: for --topology and for a document's mode.
+    flag = re.search(r"`--topology` accepts a mode name \(([^)]*)\)", README)
+    document = re.search(r"`mode` is one of `([^`]*)`", README)
+    assert flag is not None and document is not None
+    assert backticked(flag.group(1)) == list(instances.TOPOLOGY_MODES)
+    names = [name.strip() for name in document.group(1).split("|")]
+    assert names == [*instances.TOPOLOGY_MODES, "explicit"]
+
+
 def expected_value(comment: str, namespace: dict) -> object:
     """The value a result comment states: its longest leading run of words
     that is a Python expression, such as ``True`` of ``True (finite ground)``."""

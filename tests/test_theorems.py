@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ordtop as ot
-from ordtop import checkers, kernels, representations, theorems, topologies
+from ordtop import checkers, instances, kernels, representations, theorems, topologies
 from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
 from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
@@ -264,6 +264,39 @@ def test_mine_seed_changes_instance_mix():
         theorems.random_preorder(random.Random(0 * 1_000_003 + t), default_labels(5))
         for t in range(20)
     ]
+
+
+# Each theorem's record on the hook instance: the mode of its topology (None
+# for none) and its params, as the suite records them.
+REPLAY_CASES = {
+    "topology-coincidence": (None, {}),
+    "lsc-iff-upper": ("upper", {}),
+    "scott-necessity": ("indiscrete", {}),
+    "alexandrov-antitone": (None, {"coarse_relation": [["a", "a"], ["b", "b"], ["x", "x"]]}),
+    "linear-extensions-lsc": ("discrete", {"samples": 2, "seed": 5}),
+    "chain-restriction": ("discrete", {"chain": ["a", "b"], "x": "x"}),
+}
+
+
+@pytest.mark.parametrize("theorem_id", theorems.THEOREM_IDS)
+def test_every_theorem_replays_through_its_public_checker(theorem_id, monkeypatch):
+    p = _hook_instance()
+    mode, params = REPLAY_CASES[theorem_id]
+    t = None if mode is None else instances.resolve_topology_mode(mode, p)
+    name = "check_" + theorem_id.replace("-", "_")
+    public, calls = getattr(checkers, name), []
+    monkeypatch.setattr(checkers, name, lambda *args: calls.append(args) or public(*args))
+    report = replay_violation(checkers._violation(theorem_id, p, t, params=params))
+    expected = {
+        "topology-coincidence": (p,),
+        "lsc-iff-upper": (p, t),
+        "scott-necessity": (p, t),
+        "alexandrov-antitone": (ot.build_preorder(p.elements), p),
+        "linear-extensions-lsc": (p, t, 2, 5),
+        "chain-restriction": (p, t, ot.mask_of(p, "ab"), "x"),
+    }[theorem_id]
+    assert calls == [expected]
+    assert report.theorem_id == theorem_id and report.ok
 
 
 def test_violation_serialisation_and_replay(chain3, monkeypatch):
