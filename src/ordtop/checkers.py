@@ -37,7 +37,6 @@ from ordtop.representations import (
 )
 from ordtop.topologies import (
     Topology,
-    _first_not_closed,
     alexandrov_topology,
     is_closed,
     is_finer,
@@ -157,9 +156,9 @@ def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tup
     """Each member (given by its sublevel sets) that is not lsc in ``t``, with
     its first non-closed position.  Each distinct sublevel set is decided
     once; the members are searched only when one of those is not closed."""
-    if _first_not_closed(t.rows, sublevels) < 0:
+    if kernels.first_not_closed(t.rows, sublevels) < 0:
         return []
-    firsts = [(k, _first_not_closed(t.rows, below)) for k, below in enumerate(belows)]
+    firsts = [(k, kernels.first_not_closed(t.rows, below)) for k, below in enumerate(belows)]
     return [(k, x) for k, x in firsts if x >= 0]
 
 
@@ -271,7 +270,7 @@ def _linear_extensions_lsc(
             contours = [e.cols for e in extensions]
         checked += len(contours)
         # Extension by extension, element by element: the first failure is the witness.
-        i = _first_not_closed(t.rows, [c for cols in contours for c in cols])
+        i = kernels.first_not_closed(t.rows, [c for cols in contours for c in cols])
         if i >= 0:
             violations.append(
                 _violation(

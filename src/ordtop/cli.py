@@ -129,7 +129,7 @@ def cmd_topology(args) -> int:
     inst = _instance(args)
     opens = inst.topology.opens
     result = {
-        "mode": args.topology or inst.mode or "explicit",
+        "mode": inst.mode or "explicit",
         "ground_size": inst.p.n,
         "open_count": len(opens),
         "opens": [list(labels_of(inst.p, o)) for o in opens],

@@ -10,7 +10,7 @@ here once; their public functions wrap it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ordtop.errors import OutOfBoundsError, TooLargeError
 
@@ -70,6 +70,20 @@ def first_escape(rows: Sequence[int], mask: int) -> int:
     return -1
 
 
+def first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
+    """Index of the first of ``masks`` not closed under the rows, or -1: the walk
+    of :func:`first_escape` on each complement, inlined (a call per mask costs)."""
+    full = (1 << len(rows)) - 1
+    for i, mask in enumerate(masks):
+        m = full ^ mask
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & mask:
+                return i
+            m ^= low
+    return -1
+
+
 def compact_rows(rows: Sequence[int], mask: int) -> list[int]:
     """The rows of the points of ``mask``, each cut down to ``mask`` and
     re-indexed so that the k-th point of ``mask`` becomes point k."""
@@ -99,7 +113,7 @@ def relation_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def up_sets(rows: list[int]) -> list[int]:
+def up_sets(rows: Sequence[int]) -> list[int]:
     """All up-set masks of a preorder, ascending.
 
     Branches on the lowest undecided point x: either x is in, and with it
@@ -129,7 +143,7 @@ def up_sets(rows: list[int]) -> list[int]:
     return out
 
 
-def _columns(rows: list[int]) -> list[int]:
+def _columns(rows: Sequence[int]) -> list[int]:
     n = len(rows)
     cols = [0] * n
     for i, r in enumerate(rows):
@@ -203,31 +217,35 @@ def scott_opens(rows: list[int]) -> list[int]:
     return out
 
 
-def max_antichain(rows: list[int]) -> int:
-    """Mask of a maximum set of mutually incomparable elements.
-
-    Exhaustive branch-and-bound over subsets; deterministic (prefers the
-    earliest elements among equally large antichains).
-    """
-    n = len(rows)
-    if n == 0:
-        return 0
+def max_antichain(rows: Sequence[int]) -> int:
+    """Mask of the lowest maximum antichain (of first points of classes), by
+    Dilworth-Koenig: a maximum matching of points to points strictly below
+    them, grown along augmenting paths on a stack, then the points that
+    alternating paths from the unmatched ones reach, less those reached below."""
     cols = _columns(rows)
-    full = (1 << n) - 1
-    incomp = [~(rows[i] | cols[i]) & full for i in range(n)]
-    best_mask = 0
-    best_size = 0
-
-    def dfs(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_mask, best_size
-        if cur_size + cand.bit_count() <= best_size:
-            return
-        if not cand:
-            best_size, best_mask = cur_size, cur_mask
-            return
-        v = (cand & -cand).bit_length() - 1
-        dfs(cand & incomp[v], cur_mask | (1 << v), cur_size + 1)
-        dfs(cand & ~(1 << v), cur_mask, cur_size)
-
-    dfs(full, 0, 0)
-    return best_mask
+    firsts = [i for i in range(len(rows)) if not rows[i] & cols[i] & ((1 << i) - 1)]
+    reps = sum(1 << i for i in firsts)
+    below = [c & ~r & reps for r, c in zip(rows, cols)]
+    low_of, up_of = {}, {}  # the matching, from each end
+    dead = 0  # lower points that no augmenting path passes while the matching holds
+    # Round two augments nothing (the matching is maximum): it marks what the unmatched reach.
+    for start in firsts + firsts:
+        if start in low_of:
+            continue
+        stack = [[start, below[start], -1]]  # upper point, untried lowers, lower taken
+        while stack:
+            frame = stack[-1]
+            frame[1] &= ~dead
+            if not frame[1]:
+                stack.pop()
+                continue
+            frame[2] = i = (frame[1] & -frame[1]).bit_length() - 1
+            dead |= 1 << i
+            if i not in up_of:
+                for j, _, i in stack:
+                    low_of[j], up_of[i] = i, j
+                dead = 0
+                break
+            stack.append([up_of[i], below[up_of[i]], -1])
+    reached = sum(1 << up_of[i] for i in up_of if dead >> i & 1)
+    return (reps & ~sum(1 << j for j in low_of) | reached) & ~dead

@@ -26,12 +26,8 @@ from ordtop.errors import (
     NotReflexiveError,
     NotTransitiveError,
     NotTotalError,
-    TooLargeError,
     UnknownLabelError,
 )
-
-WIDTH_CAP = 25
-
 
 class PairClass(Enum):
     """How an ordered pair (a, b) sits in the preorder."""
@@ -309,9 +305,7 @@ class WidthResult(NamedTuple):
 
 
 def width(p: Preorder) -> WidthResult:
-    """Maximum antichain by exhaustive search (ground set capped at 25)."""
-    if p.n > WIDTH_CAP:
-        raise TooLargeError(WIDTH_CAP, p.n)
+    """The lowest maximum antichain, by Dilworth-Koenig matching in polynomial time."""
     mask = kernels.max_antichain(list(p.rows))
     return WidthResult(mask.bit_count(), mask)
 

@@ -17,6 +17,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
+from ordtop import kernels
 from ordtop.errors import (
     DomainMismatchError,
     EmptyFamilyError,
@@ -25,7 +26,7 @@ from ordtop.errors import (
     NotTotalError,
 )
 from ordtop.preorders import ContourKind, Preorder, _Record, contour, quotient
-from ordtop.topologies import Topology, _first_not_closed
+from ordtop.topologies import Topology
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -264,7 +265,7 @@ def semicontinuity(f: ValueFunction, t: Topology, sense: Sense) -> ScVerdict:
     senses = (Sense.LOWER, Sense.UPPER) if sense is Sense.BOTH else (sense,)
     for s in senses:
         levels = below if s is Sense.LOWER else above
-        x = _first_not_closed(t.rows, levels)
+        x = kernels.first_not_closed(t.rows, levels)
         if x >= 0:
             return ScVerdict(False, f.elements[x], levels[x])
     return ScVerdict(True)
@@ -284,7 +285,7 @@ def preorder_semicontinuity(p: Preorder, t: Topology, sense: Sense) -> PreorderS
         raise ValueError("preorder semicontinuity is checked one sense at a time")
     # The weak lower contour of element i is p.cols[i]; the weak upper one is p.rows[i].
     contours = p.cols if sense is Sense.LOWER else p.rows
-    i = _first_not_closed(t.rows, contours)
+    i = kernels.first_not_closed(t.rows, contours)
     if i >= 0:
         return PreorderScVerdict(False, p.elements[i], contours[i])
     return PreorderScVerdict(True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from ordtop import kernels
 from ordtop.errors import (
@@ -66,8 +66,12 @@ class Topology(_Record):
 
     @property
     def opens(self) -> tuple[int, ...]:
-        """Every open mask, ascending: the up-sets of the rows."""
-        return tuple(kernels.up_sets(list(self.rows)))
+        """Every open mask, ascending: the up-sets of the rows, at least 2^width of them."""
+        w = kernels.max_antichain(self.rows).bit_count()
+        if 1 << w > kernels.UP_SETS_CAP:
+            what = f"counting only the up-closures of a {w}-point antichain, the open family"
+            raise TooLargeError(kernels.UP_SETS_CAP, 1 << w, what)
+        return tuple(kernels.up_sets(self.rows))
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is open; False for a mask outside the ground set."""
@@ -229,23 +233,7 @@ def is_finer(t1: Topology, t2: Topology) -> FinerVerdict:
 def is_closed(t: Topology, mask: int) -> bool:
     """The complement is open: no point outside ``mask`` has U_x meeting it."""
     kernels.check_mask(mask, t.ground_size)
-    return _first_not_closed(t.rows, (mask,)) < 0
-
-
-def _first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
-    """Index of the first of ``masks`` that is not closed in the topology
-    with these ``rows``, or -1 when all are; the masks lie in the ground
-    set.  The closedness kernel of :func:`is_closed` and of the
-    semicontinuity checks."""
-    full = (1 << len(rows)) - 1
-    for i, mask in enumerate(masks):
-        m = full ^ mask
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & mask:
-                return i
-            m ^= low
-    return -1
+    return kernels.first_not_closed(t.rows, (mask,)) < 0
 
 
 def closure(t: Topology, mask: int) -> int:

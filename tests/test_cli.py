@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -477,3 +478,41 @@ def test_closed_stdout_exits_with_the_broken_pipe_code(tmp_path, unbuffered, poi
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (("topology", fx("vee.json"), "--topology", "scott"), "scott"),
+        (("topology", fx("chain3.json")), "upper"),
+        (("topology", fx("equiv2.json")), "explicit"),
+        (("topology", fx("vee.json"), "--topology", fx("chain3.json")), "upper"),
+        (("topology", fx("antichain2.json"), "--topology", fx("equiv2.json")), "explicit"),
+    ],
+    ids=["mode-name", "document-mode", "document-opens", "file-mode", "file-opens"],
+)
+def test_topology_reports_the_mode_its_source_names(capsys, argv, mode):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["result"]["mode"] == mode
+
+
+def test_open_listing_is_refused_from_the_width_before_listing(monkeypatch, capsys, tmp_path):
+    # 25 disjoint 4-chains: 100 points of width 25, so at least 2^25 opens.
+    labels = [f"c{c}_{k}" for c in range(25) for k in range(4)]
+    relation = [[f"c{c}_{k}", f"c{c}_{k + 1}"] for c in range(25) for k in range(3)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"elements": labels, "relation": relation, "autoclose": True}))
+
+    def never(rows):
+        raise AssertionError("up_sets called")
+
+    monkeypatch.setattr(kernels, "up_sets", never)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "topology", str(path), "--topology", "alexandrov", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"capped at {kernels.UP_SETS_CAP}" in json.loads(out)["error"]
+    assert peak < 4_000_000

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ordtop import kernels
 from ordtop.errors import TooLargeError
-from ordtop.topologies import SCOTT_CAP, _first_not_closed
+from ordtop.topologies import SCOTT_CAP
 from tests.test_preorders import preorders
 
 
@@ -52,18 +52,20 @@ def brute_up_sets(rows: list[int]) -> list[int]:
     return out
 
 
-def brute_max_antichain_size(rows: list[int]) -> int:
+def brute_max_antichains(rows: list[int]) -> list[int]:
+    """Every maximum antichain, by a scan of all subsets."""
     n = len(rows)
-    best = 0
-    for mask in range(1 << n):
-        elems = [i for i in range(n) if mask >> i & 1]
-        if all(
-            not rows[a] >> b & 1 and not rows[b] >> a & 1
-            for ai, a in enumerate(elems)
-            for b in elems[ai + 1 :]
-        ):
-            best = max(best, len(elems))
-    return best
+    antichains = [
+        mask
+        for mask in range(1 << n)
+        if all(not rows[i] & mask & ~(1 << i) for i in range(n) if mask >> i & 1)
+    ]
+    best = max(m.bit_count() for m in antichains)
+    return [m for m in antichains if m.bit_count() == best]
+
+
+def down_closure(rows: list[int], mask: int) -> int:
+    return sum(1 << i for i, r in enumerate(rows) if r & mask)
 
 
 def test_transitive_closure_matches_matrix_powering():
@@ -144,11 +146,62 @@ def test_directed_sup_kernel_matches_pairwise_definition():
 
 
 def test_max_antichain_size_matches_subset_scan():
+    # The kernel's antichain holds the first point of its classes, is as
+    # large as any, and lies below every other maximum antichain.
+    from ordtop.theorems import all_preorders
+
     rng = random.Random(19)
-    for _ in range(40):
-        rows = random_relation(rng, rng.randint(1, 8))
+    cases = [
+        list(p.rows)
+        for n in range(1, 5)
+        for p in all_preorders(tuple(f"e{i}" for i in range(n)))
+    ]
+    cases += [random_relation(rng, rng.randint(1, 8)) for _ in range(40)]
+    for rows in cases:
         mask = kernels.max_antichain(rows)
-        assert mask.bit_count() == brute_max_antichain_size(rows)
+        maximum = brute_max_antichains(rows)
+        assert mask in maximum
+        # each point is the first of its class: nothing before it is equivalent
+        points = [i for i in range(len(rows)) if mask >> i & 1]
+        assert all(not rows[i] & down_closure(rows, 1 << i) & ((1 << i) - 1) for i in points)
+        low = down_closure(rows, mask)
+        assert all(not low & ~down_closure(rows, other) for other in maximum)
+
+
+def chains_rows(lengths: list[int]) -> list[int]:
+    """Disjoint chains of the given lengths, each numbered bottom to top."""
+    rows, start = [], 0
+    for length in lengths:
+        top = (1 << (start + length)) - 1
+        rows += [top & ~((1 << i) - 1) for i in range(start, start + length)]
+        start += length
+    return rows
+
+
+def grid_rows(a: int, b: int) -> list[int]:
+    """The product of an a-chain and a b-chain, point (x, y) at index x*b + y."""
+    return [
+        sum(1 << (u * b + v) for u in range(x, a) for v in range(y, b))
+        for x in range(a)
+        for y in range(b)
+    ]
+
+
+@pytest.mark.parametrize(
+    ("rows", "width"),
+    [
+        (chains_rows([43] * 6 + [42]), 7),
+        (chains_rows([1] * 100 + [200]), 101),
+        (grid_rows(15, 20), 15),
+        (grid_rows(20, 15), 15),
+        ([1 << i for i in range(300)], 300),
+    ],
+    ids=["7-chains", "100-points-and-a-chain", "grid-15x20", "grid-20x15", "antichain"],
+)
+def test_max_antichain_of_300_points_with_known_width(rows, width):
+    mask = kernels.max_antichain(rows)
+    assert mask.bit_count() == width
+    assert all(not rows[i] & mask & ~(1 << i) for i in range(len(rows)) if mask >> i & 1)
 
 
 def test_transitive_closure_on_wide_ground():
@@ -214,7 +267,7 @@ def test_row_kernels_match_pairwise_definitions(case):
         for k, mask in enumerate(masks)
         if any(leq[x][y] for x in range(n) for y in range(n) if mask >> y & 1 and not mask >> x & 1)
     ]
-    assert _first_not_closed(rows, masks) == (not_closed[0] if not_closed else -1)
+    assert kernels.first_not_closed(rows, masks) == (not_closed[0] if not_closed else -1)
     raw = list(rows)
     for a, b in pairs:
         raw[a] |= 1 << b

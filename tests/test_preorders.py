@@ -15,7 +15,6 @@ from ordtop.errors import (
     NotReflexiveError,
     NotTotalError,
     NotTransitiveError,
-    TooLargeError,
     UnknownLabelError,
 )
 from ordtop import preorders as preorders_module
@@ -194,11 +193,10 @@ def test_width_examples(chain3, vee, antichain2):
     assert ot.width(antichain2).size == 2
 
 
-def test_width_cap():
-    labels = tuple(f"e{i}" for i in range(26))
-    p = ot.build_preorder(labels)
-    with pytest.raises(TooLargeError):
-        ot.width(p)
+def test_width_is_uncapped():
+    # 26 points: past the old exhaustive search's cap of 25
+    p = ot.build_preorder(tuple(f"e{i}" for i in range(26)))
+    assert ot.width(p) == (26, p.full_mask)
 
 
 # --- linear extensions -------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ordtop as ot
-from ordtop import checkers, instances, kernels, representations, theorems, topologies
+from ordtop import checkers, instances, kernels, representations, theorems
 from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
 from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
@@ -466,7 +466,7 @@ def test_mine_reports_violations_in_public_checker_order(monkeypatch):
     # even ground set gives lsc-iff-upper and linear-extensions-lsc
     # violations in some trials only, and the witness depends on the masks,
     # so their order and instances are compared too.
-    real = topologies._first_not_closed
+    real = kernels.first_not_closed
 
     def fails_on_even_ground(rows, masks):
         masks = list(masks)
@@ -474,8 +474,7 @@ def test_mine_reports_violations_in_public_checker_order(monkeypatch):
             return masks.index(max(masks))
         return real(rows, masks)
 
-    for module in (topologies, representations, checkers):
-        monkeypatch.setattr(module, "_first_not_closed", fails_on_even_ground)
+    monkeypatch.setattr(kernels, "first_not_closed", fails_on_even_ground)
     for seed, trials, max_size in MINE_RUNS:
         suite = theorems.mine(seed, trials, max_size)
         assert _answers(suite) == reference_mine(seed, trials, max_size).answers()
@@ -622,7 +621,7 @@ def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
     # the contour alone, would miss the discrete one.  The witness depends on
     # the masks, so the linear extensions checked in the discrete topology
     # show in the violations too.
-    real = topologies._first_not_closed
+    real = kernels.first_not_closed
 
     def fails_when_discrete(rows, masks):
         if rows == ot.discrete(len(rows)).rows:
@@ -630,8 +629,7 @@ def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
             return masks.index(max(masks))
         return real(rows, masks)
 
-    for module in (topologies, representations, checkers):
-        monkeypatch.setattr(module, "_first_not_closed", fails_when_discrete)
+    monkeypatch.setattr(kernels, "first_not_closed", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
     assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
@@ -726,12 +724,12 @@ def test_mask_cores_match_object_route():
                 # Closed means an open complement, which Topology.is_open decides alone.
                 for mask in range(1 << n):
                     closed = t.is_open(t.full_mask ^ mask)
-                    assert (topologies._first_not_closed(t.rows, [mask]) < 0) == closed
+                    assert (kernels.first_not_closed(t.rows, [mask]) < 0) == closed
                     assert ot.is_closed(t, mask) == closed
                 first = next(
                     (i for i, c in enumerate(p.cols) if not t.is_open(t.full_mask ^ c)), -1
                 )
-                assert topologies._first_not_closed(t.rows, p.cols) == first
+                assert kernels.first_not_closed(t.rows, p.cols) == first
                 assert ot.is_finer(t, ta).ok == all(
                     ot.preorder_semicontinuity(e, t, lower).ok for e in exts
                 )
@@ -759,7 +757,7 @@ def assert_premise_identity(p, ts):
     # ... so every extension is lsc iff every up-set of p is open.
     ta = ot.alexandrov_topology(p)
     for t in ts:
-        assert ot.is_finer(t, ta).ok == (topologies._first_not_closed(t.rows, contours) < 0)
+        assert ot.is_finer(t, ta).ok == (kernels.first_not_closed(t.rows, contours) < 0)
 
 
 def test_chain_restriction_premise_is_alexandrov_refinement():

@@ -406,3 +406,15 @@ def test_large_ground_operations_never_list_subsets():
     assert len(trace.opens) == 21
     assert ot.subspace(d, evens) == ot.discrete(20)
     assert ot.closure(ta, 1 << 39) == full and ot.interior(ta, full >> 1) == 0
+
+
+def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
+    monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
+    assert len(ot.discrete(3).opens) == 8
+    # two disjoint 2-chains: width 2, but 9 up-sets, which the listing counts
+    with pytest.raises(TooLargeError, match="listed so far"):
+        Topology(4, (0b0011, 0b0010, 0b1100, 0b1000)).opens
+    # width 4: its antichain alone has 16 up-closures, so nothing is listed
+    monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
+    with pytest.raises(TooLargeError, match="4-point antichain"):
+        ot.discrete(4).opens
