@@ -10,7 +10,6 @@ suite drivers in :mod:`ordtop.theorems`.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import NamedTuple, Sequence
 
@@ -59,16 +58,6 @@ class TheoremViolation(NamedTuple):
     instance: str  # serialised InstanceDocument
     params: dict
     detail: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem": self.theorem_id,
-                "instance": json.loads(self.instance),
-                "params": self.params,
-                "detail": self.detail,
-            }
-        )
 
 
 class TheoremReport(NamedTuple):

@@ -190,30 +190,22 @@ def directed_sup(rows: Sequence[int], cols: Sequence[int], d: int) -> tuple[bool
     return directed, None
 
 
-def directed_sups(rows: list[int]) -> list[tuple[int, int]]:
-    """(subset mask, supremum class mask) for every nonempty directed subset
-    that has a supremum, ascending by subset; see :func:`directed_sup`."""
+def scott_opens(rows: list[int]) -> list[int]:
+    """Up-sets U with: sup class of a directed set meets U => the set meets U.
+
+    One pass over the nonempty subsets d, each tested by :func:`directed_sup`
+    and then against every up-set still listed; nothing is kept per subset,
+    and the list is rebuilt only when d strikes some up-set from it.
+    """
     cols = _columns(rows)
-    out = []
+    out = up_sets(rows)
     for d in range(1, 1 << len(rows)):
         directed, sup_class = directed_sup(rows, cols, d)
         if directed and sup_class is not None:
-            out.append((d, sup_class))
-    return out
-
-
-def scott_opens(rows: list[int]) -> list[int]:
-    """Up-sets U with: sup class of a directed set meets U => the set meets U."""
-    pairs = directed_sups(rows)
-    out = []
-    for u in up_sets(rows):
-        ok = True
-        for d, sup_class in pairs:
-            if sup_class & u and not d & u:
-                ok = False
-                break
-        if ok:
-            out.append(u)
+            for u in out:
+                if sup_class & u and not d & u:
+                    out = [v for v in out if not (sup_class & v and not d & v)]
+                    break
     return out
 
 

@@ -56,9 +56,10 @@ from ordtop.topologies import (
 
 # The largest preorder that ``mine`` draws.  What bounds it is the 2^n
 # directed-subset scan behind ``scott_topology``, which topology-coincidence
-# and scott-necessity run for every trial: mine(114, 200, n) took 0.21,
-# 0.61, 2.3 and 9.5 s for n = 8, 10, 12 and 14 on a 2-vCPU container, and
-# those two theorems took 64% of it at 8 points and 85-99% from 10 up.
+# and scott-necessity run for every trial: mine(114, 200, n) took 0.09,
+# 0.21, 0.8 and 3.8 s for n = 8, 10, 12 and 14 in process on a 2-vCPU
+# container, and those two theorems took 54% of it at 8 points and 79-98%
+# from 10 up.
 MINE_CAP = 8
 SUITE_CAP = 6
 
@@ -225,10 +226,6 @@ class SuiteReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.reports)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(r.violations) for r in self.reports)
 
 
 def _finish(tallies: dict[str, _Tally]) -> SuiteReport:

@@ -27,6 +27,11 @@ from ordtop.errors import (
 )
 from ordtop.preorders import ContourKind, Preorder, _Record, contour
 
+# The largest preorder whose Scott topology is built.  kernels.scott_opens
+# tests the 2^n - 1 nonempty subsets one at a time and holds only the up-set
+# list: at 20 points scott_topology took 11 s at 15 MB on the chain (every
+# subset directed) and 10 s at 109 MB on the antichain (2^20 up-sets, the
+# UP_SETS_CAP), each in a fresh process on a 2-vCPU container.
 SCOTT_CAP = 20
 
 
@@ -168,8 +173,7 @@ def generate(ground_size: int, sets: Iterable[int], role: SubbasisRole) -> Topol
     U_x is the intersection of the (complemented, for closed) members that
     contain x, or the ground set when none does.
     """
-    if ground_size < 1:
-        raise ValueError("ground_size must be at least 1")
+    _check_ground_size(ground_size)
     full = (1 << ground_size) - 1
     rows = [full] * ground_size
     for s in sets:

@@ -1,6 +1,7 @@
 """Kernel correctness against naive oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,7 +143,47 @@ def test_directed_sup_kernel_matches_pairwise_definition():
             assert tuple(directed_sup(p, mask)) == verdict
             if verdict[0] and verdict[1] is not None:
                 expected.append((mask, verdict[1]))
-        assert kernels.directed_sups(rows) == expected
+        # the two-pass scan: an up-set is Scott open unless some directed
+        # set's supremum class meets it while the set itself misses it
+        assert kernels.scott_opens(rows) == [
+            u for u in kernels.up_sets(rows) if not any(s & u and not d & u for d, s in expected)
+        ]
+
+
+def test_scott_opens_strikes_up_sets_of_unclosed_relations():
+    # On a preorder every directed set holds its supremum, so the scan never
+    # strikes an up-set and never meets a directed set without a supremum.
+    # Rows that are not transitively closed run both branches; the oracle
+    # is the two-pass scan on the kernel's own verdicts.
+    rng = random.Random(29)
+    struck = 0
+    for _ in range(200):
+        rows = random_relation(rng, rng.randint(1, 6), closed=False)
+        cols = kernels._columns(rows)
+        verdicts = [(d, *kernels.directed_sup(rows, cols, d)) for d in range(1, 1 << len(rows))]
+        ups = kernels.up_sets(rows)
+        expected = [
+            u
+            for u in ups
+            if not any(ok and s is not None and s & u and not d & u for d, ok, s in verdicts)
+        ]
+        assert kernels.scott_opens(rows) == expected
+        struck += expected != ups
+    assert struck
+
+
+def test_scott_opens_keeps_nothing_per_subset():
+    # A 12-point chain has 4,095 directed subsets but only 13 up-sets; the
+    # scan holds the up-set list and nothing per subset.
+    rows = chains_rows([12])
+    tracemalloc.start()
+    try:
+        opens = kernels.scott_opens(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opens == kernels.up_sets(rows)
+    assert peak < 64 * 1024
 
 
 def test_max_antichain_size_matches_subset_scan():

@@ -6,6 +6,7 @@ the CLI stays free of ``dataclasses`` and the modules it loads; and a
 commands that build none never load ``fractions`` and ``decimal``.
 """
 
+import ast
 import copy
 import json
 import os
@@ -13,13 +14,14 @@ import pickle
 import subprocess
 import sys
 import tokenize
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ordtop as ot
-from ordtop import instances
+from ordtop import instances, kernels
 from ordtop.errors import DomainMismatchError
 from ordtop.representations import ValueFunction
 from ordtop.theorems import TheoremReport, TheoremViolation
@@ -106,6 +108,31 @@ def test_no_module_exceeds_the_token_budget():
             )
     over = {name: n for name, n in sizes.items() if n > MODULE_TOKEN_BUDGET}
     assert not over, f"modules over {MODULE_TOKEN_BUDGET} tokens: {over}"
+
+
+def test_every_public_kernel_has_a_caller_in_the_library():
+    """Every command loads ``ordtop.kernels`` whole, so a public kernel that
+    no other ordtop module calls is dead weight there: give it a caller, or
+    delete it and keep its logic as a test oracle.  ``using_native`` is the
+    one exception: the library never asks which backend it runs on, and
+    only the benchmark's import probe (``perfbench/run.py``) records it."""
+    public = {
+        name
+        for name, obj in vars(kernels).items()
+        if not name.startswith("_")
+        and isinstance(obj, types.FunctionType)
+        and obj.__module__ == kernels.__name__
+    }
+    used = set()
+    for path in (SRC / "ordtop").rglob("*.py"):
+        if path.parent.name == "kernels":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "ordtop.kernels":
+                used.update(alias.name for alias in node.names)
+    assert public - used - {"using_native"} == set()
 
 
 def test_checkers_are_imported_beneath_the_theorems_layer():

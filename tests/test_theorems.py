@@ -302,9 +302,8 @@ def test_every_theorem_replays_through_its_public_checker(theorem_id, monkeypatc
 def test_violation_serialisation_and_replay(chain3, monkeypatch):
     tu = ot.upper_topology(chain3)
     v = checkers._violation("lsc-iff-upper", chain3, tu, detail="fabricated")
-    payload = json.loads(v.to_json())
-    assert payload["theorem"] == "lsc-iff-upper"
-    assert payload["instance"]["elements"] == ["a", "b", "c"]
+    assert v.theorem_id == "lsc-iff-upper"
+    assert json.loads(v.instance)["elements"] == ["a", "b", "c"]
     # replay dispatches to the right checker and rebuilds the exact instance
     report = replay_violation(v)
     assert report.theorem_id == "lsc-iff-upper"

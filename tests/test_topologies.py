@@ -256,7 +256,12 @@ def test_rows_must_form_a_preorder():
 
 @pytest.mark.parametrize(
     "make",
-    [ot.discrete, ot.indiscrete, pytest.param(lambda n: ot.from_opens(n, [0]), id="from_opens")],
+    [
+        ot.discrete,
+        ot.indiscrete,
+        pytest.param(lambda n: ot.from_opens(n, [0]), id="from_opens"),
+        pytest.param(lambda n: ot.generate(n, [], SubbasisRole.AS_OPEN_SUBBASIS), id="generate"),
+    ],
 )
 def test_constructors_refuse_a_negative_ground_size(make):
     with pytest.raises(NotATopologyError) as exc:
