@@ -1,10 +1,11 @@
 """The exhaustive theorem suite and the seeded instance miner.
 
-:func:`run_theorem_suite` enumerates every labelled preorder up to
-:data:`SUITE_CAP` points and :func:`mine` draws seeded random ones; both
-hand each preorder's instances to one driver, which runs every theorem
-core of :mod:`ordtop.checkers`.  The public one-instance checkers, their
-reports and violation records are re-exported from there.
+:func:`run_theorem_suite` builds every labelled preorder up to
+:data:`SUITE_CAP` points by one-point extension and :func:`mine` draws
+seeded random ones; both hand each preorder's instances to one driver,
+which runs every theorem core of :mod:`ordtop.checkers`.  The public
+one-instance checkers, their reports and violation records are
+re-exported from there.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ from ordtop.topologies import (
 # container, and those two theorems took 54% of it at 8 points and 79-98%
 # from 10 up.
 MINE_CAP = 8
+# The largest suite preorder: the 209,527 on 6 points took 1.6-2.1 s at a
+# 47 MB peak in a fresh process on a 2-vCPU container; the 9,535,241 on 7
+# (OEIS A000798) would all be held and sorted in memory at once.
 SUITE_CAP = 6
 
 
@@ -68,76 +72,68 @@ SUITE_CAP = 6
 # instance generation
 
 
-def _set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 @functools.cache
-def _all_partial_order_rows(k: int) -> tuple[tuple[int, ...], ...]:
-    """All reflexive-transitive-antisymmetric row tuples on k elements."""
-    pair_slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    out: list[tuple[int, ...]] = []
-    rows = [1 << i for i in range(k)]
+def _all_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of every preorder on the points 0..n-1, in :func:`_suite_key` order.
 
-    def assign(slot: int) -> None:
-        if slot == len(pair_slots):
-            if kernels.transitivity_violation(rows) is None:
-                out.append(tuple(rows))
-            return
-        i, j = pair_slots[slot]
-        assign(slot + 1)  # incomparable
-        rows[i] |= 1 << j
-        assign(slot + 1)  # i below j
-        rows[i] &= ~(1 << j)
-        rows[j] |= 1 << i
-        assign(slot + 1)  # j below i
-        rows[j] &= ~(1 << i)
-
-    assign(0)
+    Each preorder on 0..n-2 gains the point n-1 once per down-set D below
+    it (the complement of an up-set) and up-set U above it inside every
+    row of D; it joins a class when D meets U.
+    """
+    if not n:
+        return ((),)
+    new = 1 << (n - 1)
+    out = []
+    for rows in _all_preorder_rows(n - 1):
+        ups = kernels.up_sets(rows)
+        for up in ups:
+            grown = tuple(r if up >> i & 1 else r | new for i, r in enumerate(rows))
+            common = functools.reduce(int.__and__, (r for r in grown if r & new), new - 1)
+            out.extend(grown + (u | new,) for u in ups if not u & ~common)
+    out.sort(key=_suite_key)
     return tuple(out)
 
 
-def all_preorders(labels: Sequence[str]) -> Iterator[Preorder]:
-    """Every labelled preorder on the given ground set.
+def _suite_key(rows: tuple[int, ...]) -> int:
+    """The suite's order of the preorders on n points, as one int.  The
+    suite seeds each preorder by its index, so the order is part of its
+    results.  The key's digits, compared lexicographically: for k = n-2 down to 0, the
+    highest point tops[k] of k's class, or n when that is k itself; then,
+    for each pair a < b of highest points, 0, 1 (a below b) or 2 (b below
+    a); padded to a fixed width.
+    """
+    n = len(rows)
+    tops = []
+    for k, r in enumerate(rows):
+        j = r.bit_length() - 1
+        while not rows[j] >> k & 1:
+            r ^= 1 << j  # j is above k but not in k's class
+            j = r.bit_length() - 1
+        tops.append(j)
+    key = 0
+    for k in range(n - 2, -1, -1):
+        key = key * (n + 1) + (n if tops[k] == k else tops[k])
+    heads = sorted(set(tops))
+    for i, a in enumerate(heads):
+        for b in heads[i + 1 :]:
+            key = key * 3 + (rows[a] >> b & 1 | (rows[b] >> a & 1) << 1)
+    k = len(heads)
+    return key * 3 ** ((n * (n - 1) - k * (k - 1)) // 2)
 
-    Enumerated as (equivalence partition, partial order on the blocks),
-    which is an independent route from filtering raw relation matrices.
-    More than :data:`SUITE_CAP` labels are refused before anything is
-    yielded: the partial orders on k blocks are found among 3^(k(k-1)/2)
-    assignments.
+
+def all_preorders(labels: Sequence[str]) -> Iterator[Preorder]:
+    """Every labelled preorder on the given ground set, in the suite's order.
+
+    More than :data:`SUITE_CAP` labels, no labels or a repeated label are
+    refused before anything is enumerated.
     """
     labels = tuple(labels)
     n = len(labels)
     if n > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, n)
-    index = {x: i for i, x in enumerate(labels)}
-    for blocks in _set_partitions(labels):
-        k = len(blocks)
-        block_of = {}
-        for b, block in enumerate(blocks):
-            for x in block:
-                block_of[index[x]] = b
-        block_masks = [0] * k
-        for i in range(n):
-            block_masks[block_of[i]] |= 1 << i
-        for po_rows in _all_partial_order_rows(k):
-            rows = []
-            for i in range(n):
-                r = 0
-                reach = po_rows[block_of[i]]
-                while reach:
-                    b = (reach & -reach).bit_length() - 1
-                    reach &= reach - 1
-                    r |= block_masks[b]
-                rows.append(r)
-            yield Preorder(labels, tuple(rows))
+    build_preorder(labels)  # refuses an empty or repeating ground set
+    for rows in _all_preorder_rows(n):
+        yield Preorder(labels, rows)
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -286,8 +282,10 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     enumerate every chain plus incomparable outsider, and decide their
     premise from the rows, so the only linear extensions enumerated are
     the ``samples + 1`` that linear-extensions-lsc reads.  Sizes above
-    :data:`SUITE_CAP` are refused before anything is enumerated.
+    :data:`SUITE_CAP`, and below 1 (:class:`ValueError`), are refused first.
     """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     if max_size > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, max_size, what="largest suite instance")
     tallies = {tid: _Tally() for tid in THEOREM_IDS}

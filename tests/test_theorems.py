@@ -9,7 +9,13 @@ import pytest
 
 import ordtop as ot
 from ordtop import checkers, instances, kernels, representations, theorems
-from ordtop.errors import PremiseFailedError, RefinementViolatedError, TooLargeError
+from ordtop.errors import (
+    DuplicateLabelError,
+    EmptyUniverseError,
+    PremiseFailedError,
+    RefinementViolatedError,
+    TooLargeError,
+)
 from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
     TheoremViolation,
@@ -48,7 +54,7 @@ def brute_preorder_count(n: int) -> int:
 
 
 def test_enumeration_counts_match_matrix_oracle():
-    expected = {1: 1, 2: 4, 3: 29, 4: 355}
+    expected = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}  # OEIS A000798
     for n, value in expected.items():
         enumerated = list(all_preorders(default_labels(n)))
         assert len(enumerated) == value
@@ -84,23 +90,69 @@ def filtered_partial_order_rows(k):
     return tuple(out)
 
 
+def set_partitions(items):
+    """Oracle: each partition of the rest, with items[0] put into each of
+    its blocks in turn and then into a new block in front."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def block_lifted_preorder_rows(n):
+    """Oracle: every set partition of range(n), times every partial order
+    on its blocks from the ordered filter, lifted to the points."""
+    posets = {}
+    out = []
+    for blocks in set_partitions(list(range(n))):
+        k = len(blocks)
+        masks = [sum(1 << x for x in block) for block in blocks]
+        block_of = {x: b for b, block in enumerate(blocks) for x in block}
+        if k not in posets:
+            posets[k] = filtered_partial_order_rows(k)
+        for po_rows in posets[k]:
+            out.append(tuple(
+                sum(masks[c] for c in range(k) if po_rows[block_of[x]] >> c & 1)
+                for x in range(n)
+            ))
+    return out
+
+
 def test_partial_order_rows_match_the_ordered_filter():
     # The suite seeds each preorder by its index, so the order matters too.
     counts = [1, 1, 3, 19, 219, 4231]  # labelled posets (OEIS A001035)
+    for n in range(1, 6):
+        rows = [p.rows for p in all_preorders(default_labels(n))]
+        assert rows == block_lifted_preorder_rows(n)
+        posets = sum(
+            not any(r[i] >> j & 1 and r[j] >> i & 1 for i in range(n) for j in range(i + 1, n))
+            for r in rows
+        )
+        assert posets == counts[n]
     for k in range(6):
-        rows = theorems._all_partial_order_rows(k)
-        assert rows == filtered_partial_order_rows(k)
-        assert len(rows) == counts[k]
+        assert len(filtered_partial_order_rows(k)) == counts[k]
 
 
 def test_all_preorders_refuses_more_than_the_suite_cap(monkeypatch):
-    def fail(k):
-        raise AssertionError("partial orders enumerated past the cap")
+    def fail(n):
+        raise AssertionError("preorders enumerated past the cap")
 
-    monkeypatch.setattr(theorems, "_all_partial_order_rows", fail)
+    monkeypatch.setattr(theorems, "_all_preorder_rows", fail)
     with pytest.raises(TooLargeError) as exc:
         next(all_preorders(default_labels(7)))
     assert (exc.value.limit, exc.value.actual) == (theorems.SUITE_CAP, 7)
+
+
+@pytest.mark.parametrize(
+    "labels, error", [(["a", "b", "a"], DuplicateLabelError), ([], EmptyUniverseError)]
+)
+def test_all_preorders_refuses_labels_that_build_preorder_refuses(labels, error):
+    with pytest.raises(error):
+        next(all_preorders(labels))
 
 
 def test_check_lsc_iff_upper_examples(chain3):
@@ -248,6 +300,16 @@ def test_mine_zero_violations_and_determinism():
 def test_mine_refuses_sizes_below_two(max_size):
     with pytest.raises(ValueError, match="at least 2"):
         theorems.mine(seed=0, trials=3, max_size=max_size)
+
+
+@pytest.mark.parametrize("max_size", [0, -5])
+def test_suite_refuses_sizes_below_one(max_size, monkeypatch):
+    def fail(labels):
+        raise AssertionError("preorders enumerated for an empty suite")
+
+    monkeypatch.setattr(theorems, "all_preorders", fail)
+    with pytest.raises(ValueError, match="at least 1"):
+        theorems.run_theorem_suite(max_size)
 
 
 def test_mine_seed_changes_instance_mix():
