@@ -17,7 +17,6 @@ from ordtop import instances, kernels
 from ordtop.errors import GroundMismatchError, PremiseFailedError, RefinementViolatedError
 from ordtop.preorders import (
     Preorder,
-    _class_order_rows_cols,
     _szpilrajn_class_order,
     build_preorder,
     enumerate_linear_extensions,
@@ -218,8 +217,13 @@ def _alexandrov_antitone(
 def check_linear_extensions_lsc(
     p: Preorder, t: Topology, samples: int, seed: int
 ) -> TheoremReport:
-    """Above the Alexandrov topology every linear extension is lower semicontinuous."""
+    """Above the Alexandrov topology every linear extension is lower semicontinuous.
+
+    ``samples`` below 1 raises :class:`ValueError` before anything is enumerated.
+    """
     started = time.perf_counter()
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
     checked, violations = _linear_extensions_lsc(p, [(t, seed)], samples, alexandrov_topology(p))
@@ -234,7 +238,7 @@ def _linear_extensions_lsc(
     extensions checked, each a non-vacuous instance, and the violations.
 
     Every case's premise is decided first, so a failing one raises before
-    anything is enumerated.  It then enumerates ``max(samples, 1) + 1``
+    anything is enumerated.  It then enumerates ``samples + 1``
     extensions of ``p``.  When there are more than ``samples``, ``samples``
     of them are drawn per topology from ``quotient(p)``; else all of them
     are checked.  A drawn extension stays a class order: its contours are
@@ -246,7 +250,7 @@ def _linear_extensions_lsc(
             raise PremiseFailedError(
                 "topology is not finer than the Alexandrov topology", fin.missing_open
             )
-    extensions = enumerate_linear_extensions(p, max(samples, 1) + 1)
+    extensions = enumerate_linear_extensions(p, samples + 1)
     # Without forced pairs the extension draws on the quotient's own order,
     # so one quotient serves every sample.
     q = quotient(p) if len(extensions) > samples else None
@@ -254,7 +258,10 @@ def _linear_extensions_lsc(
     for t, seed in cases:
         if q is not None:
             orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
-            contours = [_class_order_rows_cols(p.n, q, order)[1] for order in orders]
+            contours = [
+                kernels.ranked_contours(p.n, [q.class_masks[c] for c in order])[0]
+                for order in orders
+            ]
         else:
             contours = [e.cols for e in extensions]
         checked += len(contours)

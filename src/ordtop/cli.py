@@ -31,9 +31,6 @@ from ordtop.representations import (
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-# Encoded pieces written to stdout at a time by _write_json.
-_JSON_BATCH = 4096
-
 
 def _instance(args) -> instances.Instance:
     """The command's instance in the topology that ``--topology`` or the
@@ -66,27 +63,16 @@ def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
             print(line)
         if witness is not None:
             print("witness instance (feed to `ordtop validate`):")
-            print(json.dumps(witness["instance"], indent=2))
+            _write_json(witness["instance"])
             if witness.get("detail"):
                 print(f"detail: {json.dumps(witness['detail'])}")
     return code
 
 
 def _write_json(obj) -> None:
-    """Print ``obj`` as ``json.dumps(obj, indent=2)`` does, without holding it whole.
-
-    The encoder's pieces are written a batch at a time: holding every piece
-    of a large listing costs megabytes, and writing them one by one costs a
-    system call each when stdout is unbuffered (``python -u``).
-    """
-    batch = []
-    for piece in json.JSONEncoder(indent=2).iterencode(obj):
-        batch.append(piece)
-        if len(batch) == _JSON_BATCH:
-            sys.stdout.write("".join(batch))
-            batch.clear()
-    batch.append("\n")
-    sys.stdout.write("".join(batch))
+    """Print ``json.dumps(obj, indent=2)``, a batch at a time, without holding it whole."""
+    sys.stdout.writelines(instances.indented_json(obj))
+    sys.stdout.write("\n")
 
 
 def _humanise(result: dict, indent: str = "") -> list[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ordtop import errors as err
 from ordtop import kernels, topologies
@@ -39,6 +39,9 @@ TOPOLOGY_MODES: dict[str, Callable[[Preorder], Topology]] = {
 DOCUMENT_MODES = (*TOPOLOGY_MODES, "explicit")
 
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
+
+# Encoded pieces joined into one string at a time by indented_json.
+_JSON_BATCH = 4096
 
 
 class TopologySpec(NamedTuple):
@@ -260,7 +263,23 @@ def document_payload(doc: InstanceDocument) -> dict[str, object]:
 
 def serialize_instance(doc: InstanceDocument) -> str:
     """Canonical JSON text (fixed field order, sorted sets, reduced rationals)."""
-    return json.dumps(document_payload(doc), indent=2) + "\n"
+    return "".join(indented_json(document_payload(doc))) + "\n"
+
+
+def indented_json(obj: object) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)``, in batches; the one indented writer.
+
+    The encoder's pieces are joined ``_JSON_BATCH`` at a time: holding every
+    piece of a large listing at once costs megabytes, and writing them one by
+    one costs a system call each when stdout is unbuffered (``python -u``).
+    """
+    batch = []
+    for piece in json.JSONEncoder(indent=2).iterencode(obj):
+        batch.append(piece)
+        if len(batch) == _JSON_BATCH:
+            yield "".join(batch)
+            batch.clear()
+    yield "".join(batch)
 
 
 def document_preorder(doc: InstanceDocument) -> Preorder:

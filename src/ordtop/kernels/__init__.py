@@ -71,17 +71,34 @@ def first_escape(rows: Sequence[int], mask: int) -> int:
 
 
 def first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
-    """Index of the first of ``masks`` not closed under the rows, or -1: the walk
-    of :func:`first_escape` on each complement, inlined (a call per mask costs)."""
+    """Index of the first of ``masks`` not closed under the rows, or -1: a
+    mask is closed when :func:`first_escape` finds no escape from its complement."""
     full = (1 << len(rows)) - 1
     for i, mask in enumerate(masks):
-        m = full ^ mask
+        if first_escape(rows, full ^ mask) >= 0:
+            return i
+    return -1
+
+
+def ranked_contours(n: int, classes: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(below, above) of the total preorder on n points whose classes, lowest
+    first, are the masks ``classes``: ``below[i]`` is the weak lower contour
+    of i, its class and every class before it, and ``above[i]`` the weak
+    upper contour, its class and every class after it."""
+    full = (1 << n) - 1
+    below = [0] * n
+    above = [0] * n
+    prefix = 0
+    for m in classes:
+        suffix = full ^ prefix
+        prefix |= m
         while m:
             low = m & -m
-            if rows[low.bit_length() - 1] & mask:
-                return i
+            i = low.bit_length() - 1
+            below[i] = prefix
+            above[i] = suffix
             m ^= low
-    return -1
+    return below, above
 
 
 def compact_rows(rows: Sequence[int], mask: int) -> list[int]:

@@ -310,32 +310,10 @@ def width(p: Preorder) -> WidthResult:
     return WidthResult(mask.bit_count(), mask)
 
 
-def _class_order_rows_cols(n: int, q: Quotient, order: Sequence[int]) -> tuple[list, list]:
-    """Rows and columns of the total preorder on n elements that ranks q's
-    classes by ``order``, lowest first: each element's row is the union of
-    its class and of every class after it, its column (its weak lower
-    contour) the union of its class and of every class before it."""
-    full = (1 << n) - 1
-    rows = [0] * n
-    cols = [0] * n
-    below = 0
-    for c in order:
-        m = q.class_masks[c]
-        above = full ^ below
-        below |= m
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            rows[i] = above
-            cols[i] = below
-            m ^= low
-    return rows, cols
-
-
 def _total_preorder_from_class_order(p: Preorder, q: Quotient, order: Sequence[int]) -> Preorder:
     """The total preorder on p's elements that ranks q's classes by ``order``,
-    with its columns stored."""
-    rows, cols = _class_order_rows_cols(p.n, q, order)
+    lowest first, with its columns stored."""
+    cols, rows = kernels.ranked_contours(p.n, [q.class_masks[c] for c in order])
     e = Preorder(p.elements, tuple(rows))
     e.__dict__["cols"] = tuple(cols)
     return e

@@ -12,7 +12,6 @@ ground set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -123,23 +122,12 @@ def _level_sets(f: ValueFunction) -> tuple[list[int], list[int]]:
 
 
 def _key_level_sets(keys: Sequence[int]) -> tuple[list[int], list[int]]:
-    """:func:`_level_sets` of a function given by its integer keys."""
-    n = len(keys)
-    full = (1 << n) - 1
-    below = [0] * n
-    above = [0] * n
-    smaller = 0  # positions whose key is below the current group's
-    order = sorted(range(n), key=keys.__getitem__)
-    for _, group in itertools.groupby(order, key=keys.__getitem__):
-        tied = list(group)
-        mask = 0
-        for i in tied:
-            mask |= 1 << i
-        for i in tied:
-            below[i] = smaller | mask
-            above[i] = full ^ smaller
-        smaller |= mask
-    return below, above
+    """:func:`_level_sets` of a function given by its integer keys: the
+    contours of the total preorder whose classes are the positions of equal keys."""
+    classes: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << i
+    return kernels.ranked_contours(len(keys), [classes[key] for key in sorted(classes)])
 
 
 def _lowest(mask: int) -> int:
@@ -339,8 +327,6 @@ def construct_lsc_multiutility(p: Preorder, t: Topology) -> FunctionFamily:
     Every member's sublevel sets are then exactly the closed contours, so
     the family is lower semicontinuous whenever the preorder is.
     """
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
     sc = preorder_semicontinuity(p, t, Sense.LOWER)
     if not sc.ok:
         assert sc.witness is not None and sc.contour is not None
@@ -409,8 +395,6 @@ def _lsc_rp_keys(p: Preorder, t: Topology) -> tuple[PreorderScVerdict, list[list
     Returns the lower-semicontinuity verdict of ``p`` in ``t`` and, when it
     holds, the family as :func:`_lsc_rp_rows`; the rows are empty otherwise.
     """
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
     sc = preorder_semicontinuity(p, t, Sense.LOWER)
     return sc, (_lsc_rp_rows(p) if sc.ok else [])
 

@@ -11,6 +11,7 @@ re-exported from there.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -72,26 +73,27 @@ SUITE_CAP = 6
 # instance generation
 
 
-@functools.cache
-def _all_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of every preorder on the points 0..n-1, in :func:`_suite_key` order.
+def _preorder_levels(max_n: int) -> Iterator[list[tuple[int, ...]]]:
+    """For n = 1 .. ``max_n``, the rows of every preorder on the points
+    0..n-1, in :func:`_suite_key` order.  Only the level last built is kept.
 
     Each preorder on 0..n-2 gains the point n-1 once per down-set D below
     it (the complement of an up-set) and up-set U above it inside every
     row of D; it joins a class when D meets U.
     """
-    if not n:
-        return ((),)
-    new = 1 << (n - 1)
-    out = []
-    for rows in _all_preorder_rows(n - 1):
-        ups = kernels.up_sets(rows)
-        for up in ups:
-            grown = tuple(r if up >> i & 1 else r | new for i, r in enumerate(rows))
-            common = functools.reduce(int.__and__, (r for r in grown if r & new), new - 1)
-            out.extend(grown + (u | new,) for u in ups if not u & ~common)
-    out.sort(key=_suite_key)
-    return tuple(out)
+    level = [()]
+    for n in range(1, max_n + 1):
+        new = 1 << (n - 1)
+        out = []
+        for rows in level:
+            ups = kernels.up_sets(rows)
+            for up in ups:
+                grown = tuple(r if up >> i & 1 else r | new for i, r in enumerate(rows))
+                common = functools.reduce(int.__and__, (r for r in grown if r & new), new - 1)
+                out.extend(grown + (u | new,) for u in ups if not u & ~common)
+        out.sort(key=_suite_key)
+        level = out
+        yield level
 
 
 def _suite_key(rows: tuple[int, ...]) -> int:
@@ -132,7 +134,7 @@ def all_preorders(labels: Sequence[str]) -> Iterator[Preorder]:
     if n > SUITE_CAP:
         raise TooLargeError(SUITE_CAP, n)
     build_preorder(labels)  # refuses an empty or repeating ground set
-    for rows in _all_preorder_rows(n):
+    for rows in next(itertools.islice(_preorder_levels(n), n - 1, None)):
         yield Preorder(labels, rows)
 
 
@@ -244,8 +246,10 @@ def mine(seed: int, trials: int, max_size: int) -> SuiteReport:
     topology is checked in its place; a preorder without a chain and
     outsider counts as a vacuous chain-restriction instance.  Sizes are
     drawn from 2 to ``max_size``, so a ``max_size`` below 2 raises
-    :class:`ValueError`.
+    :class:`ValueError`, as do ``trials`` below 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     if max_size > MINE_CAP:
@@ -291,8 +295,10 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     tallies = {tid: _Tally() for tid in THEOREM_IDS}
     samples = 4  # linear extensions drawn per linear-extensions-lsc instance
     started = time.perf_counter()
-    for n in range(1, max_size + 1):
-        for pi, p in enumerate(all_preorders(default_labels(n))):
+    for n, level in enumerate(_preorder_levels(max_size), 1):
+        labels = default_labels(n)
+        for pi, rows in enumerate(level):
+            p = Preorder(labels, rows)
             rng = random.Random(seed * 7_777_777 + pi * 101 + n)
             tu = upper_topology(p)
             ta = _preorder_rows(n, p.rows)

@@ -274,6 +274,10 @@ def test_text_output_mode(capsys):
     code, out = run_cli(capsys, "check-lsc", fx("chain3.json"), "--topology", "indiscrete")
     assert code == 1
     assert "witness instance" in out
+    # The text-mode witness is the one indented writer's text of the --json witness.
+    _, payload = run_json(capsys, "check-lsc", fx("chain3.json"), "--topology", "indiscrete")
+    shown = json.dumps(payload["witness"]["instance"], indent=2)
+    assert f"(feed to `ordtop validate`):\n{shown}\ndetail: " in out
 
 
 @pytest.mark.parametrize(
@@ -291,7 +295,7 @@ def test_out_of_range_sizes_are_usage_errors(monkeypatch, capsys, argv):
     def fail(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("run_theorem_suite", "mine", "all_preorders"):
+    for name in ("run_theorem_suite", "mine", "all_preorders", "_preorder_levels"):
         monkeypatch.setattr(theorems, name, fail)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--json"])
@@ -303,7 +307,7 @@ def test_theorems_size_above_cap_is_refused(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(theorems, "all_preorders", fail)
+    monkeypatch.setattr(theorems, "_preorder_levels", fail)
     for size in ("7", "9"):
         code, payload = run_json(capsys, "theorems", "--max-size", size)
         assert code == 2 and payload["exit_code"] == 2 and not payload["ok"]
@@ -449,9 +453,9 @@ def _antichain(tmp_path, n: int) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("batch", [1, 3, cli._JSON_BATCH])
+@pytest.mark.parametrize("batch", [1, 3, instances._JSON_BATCH])
 def test_streamed_envelope_is_the_dumps_text(monkeypatch, capsys, tmp_path, batch):
-    monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+    monkeypatch.setattr(instances, "_JSON_BATCH", batch)
     code, out = run_cli(capsys, "topology", _antichain(tmp_path, 10), "--topology", "discrete",
                         "--json")
     assert code == 0

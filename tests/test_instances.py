@@ -42,6 +42,32 @@ def test_round_trip_all_fixtures():
         assert parse_instance(serialize_instance(doc)) == doc
 
 
+@pytest.mark.parametrize("batch", [1, 3, instances._JSON_BATCH])
+def test_serialized_instance_is_the_dumps_text(monkeypatch, batch):
+    monkeypatch.setattr(instances, "_JSON_BATCH", batch)
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_instance(path.read_text(encoding="utf-8"))
+        assert serialize_instance(doc) == json.dumps(document_payload(doc), indent=2) + "\n"
+
+
+def test_serialize_instance_holds_no_list_of_pieces():
+    # The 14-point discrete topology: 16,384 opens in 2 MB of indented text.
+    # Joined whole, the encoder's pieces peak near 14 MB (a string object per
+    # piece); joined a batch at a time, near 4 MB: the text, the batches, the
+    # label lists.
+    n = 14
+    p = ot.build_preorder([f"p{i:02d}" for i in range(n)])
+    doc = make_document(p, topology=ot.discrete(n))
+    tracemalloc.start()
+    try:
+        text = serialize_instance(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_instance(text) == doc
+    assert peak < 6_000_000, f"serialize peak {peak} B"
+
+
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=12)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordtop import kernels
 from ordtop.errors import TooLargeError
+from ordtop.representations import _key_level_sets
 from ordtop.topologies import SCOTT_CAP
 from tests.test_preorders import preorders
 
@@ -313,3 +314,25 @@ def test_row_kernels_match_pairwise_definitions(case):
     for a, b in pairs:
         raw[a] |= 1 << b
     assert kernels.transitive_closure(raw) == reach_by_search(raw)
+
+
+def pairwise_ranked_contours(keys):
+    """Oracle: j lies in below[i] when key j is at most key i, in above[i]
+    when it is at least key i."""
+    n = len(keys)
+    below = [sum(1 << j for j in range(n) if keys[j] <= keys[i]) for i in range(n)]
+    above = [sum(1 << j for j in range(n) if keys[j] >= keys[i]) for i in range(n)]
+    return below, above
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_ranked_contours_match_the_pairwise_definition(keys):
+    n = len(keys)
+    ranks = sorted(set(keys))
+    classes = [sum(1 << i for i in range(n) if keys[i] == r) for r in ranks]
+    expected = pairwise_ranked_contours(keys)
+    assert kernels.ranked_contours(n, classes) == expected
+    assert kernels.ranked_contours(n, iter(classes)) == expected  # one pass suffices
+    # The level sets of a function are the contours of its ranking by value.
+    assert _key_level_sets(keys) == expected

@@ -17,6 +17,7 @@ from ordtop.errors import (
     NotTransitiveError,
     UnknownLabelError,
 )
+from ordtop import kernels
 from ordtop import preorders as preorders_module
 from ordtop.preorders import (
     ContourKind,
@@ -271,15 +272,25 @@ def pairwise_class_order_lift(p, q, order):
 
 
 def test_class_order_lift_matches_pairwise_oracle(monkeypatch):
+    # Each lift takes its rows and its stored columns from one
+    # kernels.ranked_contours call; both are checked here, the rows against
+    # the pairwise oracle and the columns against the rows.
     real = preorders_module._total_preorder_from_class_order
+    real_kernel = kernels.ranked_contours
     lifts = []
+    kernel_calls = []
 
     def recording(p, q, order):
         lifted = real(p, q, order)
         lifts.append((p, q, tuple(order), lifted))
         return lifted
 
+    def recording_kernel(n, classes):
+        kernel_calls.append(n)
+        return real_kernel(n, classes)
+
     monkeypatch.setattr(preorders_module, "_total_preorder_from_class_order", recording)
+    monkeypatch.setattr(kernels, "ranked_contours", recording_kernel)
     drawn = 0
     for n in range(1, 6):
         for p in all_preorders(default_labels(n)):
@@ -289,9 +300,11 @@ def test_class_order_lift_matches_pairwise_oracle(monkeypatch):
                 ot.szpilrajn_extension(p, seed=seed)
                 drawn += 1
     assert len(lifts) > drawn  # every enumerated order as well as each draw
+    assert kernel_calls == [p.n for p, *_ in lifts]
     for p, q, order, lifted in lifts:
         assert sorted(order) == list(range(q.order.n))
         assert lifted == pairwise_class_order_lift(p, q, order)
+        assert lifted.cols == tuple(kernels._columns(lifted.rows))
 
 
 def looped_class_orders(q, limit):

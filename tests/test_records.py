@@ -135,6 +135,30 @@ def test_every_public_kernel_has_a_caller_in_the_library():
     assert public - used - {"using_native"} == set()
 
 
+def test_indented_json_is_written_in_one_place():
+    """``instances.indented_json`` is the one indented JSON writer: any other
+    ``json.dump``/``json.dumps`` with an ``indent`` keyword, or
+    ``JSONEncoder(indent=...)``, in the library is a second one."""
+    found = []
+    for path in sorted((SRC / "ordtop").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "instances.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "indented_json":
+                    allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps", "JSONEncoder") and any(
+                kw.arg == "indent" for kw in node.keywords
+            ):
+                found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert found == []
+
+
 def test_checkers_are_imported_beneath_the_theorems_layer():
     # A per-layer import report (``-X importtime``) charges a module to the
     # layer that first imported it, so the checkers count as theorems time.

@@ -16,7 +16,6 @@ from ordtop.errors import (
     RefinementViolatedError,
     TooLargeError,
 )
-from ordtop.preorders import _class_order_rows_cols, _szpilrajn_class_order
 from ordtop.theorems import (
     TheoremViolation,
     all_preorders,
@@ -138,10 +137,10 @@ def test_partial_order_rows_match_the_ordered_filter():
 
 
 def test_all_preorders_refuses_more_than_the_suite_cap(monkeypatch):
-    def fail(n):
+    def fail(max_n):
         raise AssertionError("preorders enumerated past the cap")
 
-    monkeypatch.setattr(theorems, "_all_preorder_rows", fail)
+    monkeypatch.setattr(theorems, "_preorder_levels", fail)
     with pytest.raises(TooLargeError) as exc:
         next(all_preorders(default_labels(7)))
     assert (exc.value.limit, exc.value.actual) == (theorems.SUITE_CAP, 7)
@@ -289,8 +288,8 @@ def test_mine_zero_violations_and_determinism():
         (r.theorem_id, r.instances_checked, r.non_vacuous) for r in again.reports
     ]
 
-    empty = theorems.mine(seed=0, trials=0, max_size=5)
-    assert empty.ok and all(r.instances_checked == 0 for r in empty.reports)
+    with pytest.raises(ValueError):  # no trial would be an ok report of nothing
+        theorems.mine(seed=0, trials=0, max_size=5)
 
     with pytest.raises(TooLargeError):
         theorems.mine(seed=0, trials=1, max_size=9)
@@ -304,12 +303,22 @@ def test_mine_refuses_sizes_below_two(max_size):
 
 @pytest.mark.parametrize("max_size", [0, -5])
 def test_suite_refuses_sizes_below_one(max_size, monkeypatch):
-    def fail(labels):
+    def fail(max_n):
         raise AssertionError("preorders enumerated for an empty suite")
 
-    monkeypatch.setattr(theorems, "all_preorders", fail)
+    monkeypatch.setattr(theorems, "_preorder_levels", fail)
     with pytest.raises(ValueError, match="at least 1"):
         theorems.run_theorem_suite(max_size)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_mine_refuses_fewer_than_one_trial(trials, monkeypatch):
+    def fail(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(theorems, "random_preorder", fail)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        theorems.mine(seed=0, trials=trials, max_size=4)
 
 
 def test_mine_seed_changes_instance_mix():
@@ -582,9 +591,6 @@ def test_integer_family_matches_public_construction():
                 assert sc.ok
                 assert rows == [representations._integer_keys(g.values) for g in members]
                 assert rows == expected
-                assert [representations._key_level_sets(row) for row in rows] == [
-                    representations._level_sets(g) for g in members
-                ]
 
 
 def pairwise_chain_outsider_pairs(p):
@@ -673,6 +679,19 @@ def test_exhaustive_premise_refuses_a_truncated_extension_list(monkeypatch):
     limits.clear()
     theorems.run_theorem_suite(max_size=4, seed=0)
     assert set(limits) == {5}  # the suite draws 4 samples per instance
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_linear_extensions_checker_refuses_fewer_than_one_sample(samples, monkeypatch):
+    # The premise holds here, so an unrefused call would report an ok
+    # instance with nothing checked.
+    def fail(p, limit):
+        raise AssertionError("extensions enumerated")
+
+    monkeypatch.setattr(checkers, "enumerate_linear_extensions", fail)
+    antichain2 = ot.build_preorder(default_labels(2))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_linear_extensions_lsc(antichain2, ot.discrete(2), samples, 0)
 
 
 def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
@@ -769,12 +788,7 @@ def test_mask_cores_match_object_route():
                 c for c in range(1, 1 << n)
                 if all(c & ~(p.rows[i] | p.cols[i]) == 0 for i in range(n) if c >> i & 1)
             ]
-            q = ot.quotient(p)
             exts = ot.enumerate_linear_extensions(p, 1000)
-            orders = [_szpilrajn_class_order(q.order.cols, s) for s in range(3)]
-            for order in orders:
-                rows, cols = _class_order_rows_cols(n, q, order)
-                assert tuple(cols) == ot.Preorder(p.elements, tuple(rows)).cols
             ta = ot.alexandrov_topology(p)
             belows, sublevels, _ = checkers._scott_family(p)
             members = [
