@@ -42,16 +42,6 @@ from ordtop.topologies import (
     upper_topology,
 )
 
-THEOREM_IDS = (
-    "topology-coincidence",
-    "lsc-iff-upper",
-    "scott-necessity",
-    "alexandrov-antitone",
-    "linear-extensions-lsc",
-    "chain-restriction",
-)
-
-
 class TheoremViolation(NamedTuple):
     theorem_id: str
     instance: str  # serialised InstanceDocument
@@ -413,28 +403,36 @@ def _topology_coincidence(
     return violations
 
 
+# One entry per theorem, in report order: whether its record needs a
+# topology, and how it replays the record (document, preorder p, topology
+# t, params) through its public checker, looked up when it runs.
+_THEOREMS = {
+    "topology-coincidence": (False, lambda doc, p, t, params: check_topology_coincidence(p)),
+    "lsc-iff-upper": (True, lambda doc, p, t, params: check_lsc_iff_upper(p, t)),
+    "scott-necessity": (True, lambda doc, p, t, params: check_scott_necessity(p, t)),
+    "alexandrov-antitone": (False, lambda doc, p, t, params: check_alexandrov_antitone(
+        build_preorder(doc.elements, [tuple(ab) for ab in params["coarse_relation"]],
+                       autoclose=False), p)),
+    "linear-extensions-lsc": (True, lambda doc, p, t, params: check_linear_extensions_lsc(
+        p, t, params["samples"], params["seed"])),
+    "chain-restriction": (True, lambda doc, p, t, params: check_chain_restriction(
+        p, t, mask_of(p, params["chain"]), params["x"])),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+
 def replay_violation(v: TheoremViolation) -> TheoremReport:
-    """Re-run the checker on a serialised violation; must reproduce it."""
+    """Re-run the checker on a serialised violation; must reproduce it.
+
+    An unknown theorem id, or a record whose theorem needs a topology that
+    its document lacks, raises :class:`ValueError`.
+    """
+    if v.theorem_id not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {v.theorem_id!r}")
+    needs_topology, replay = _THEOREMS[v.theorem_id]
     doc = instances.parse_instance(v.instance)
     p = instances.document_preorder(doc)
     t = instances.document_topology(doc, p)
-    if v.theorem_id == "topology-coincidence":
-        return check_topology_coincidence(p)
-    if v.theorem_id == "lsc-iff-upper":
-        assert t is not None
-        return check_lsc_iff_upper(p, t)
-    if v.theorem_id == "scott-necessity":
-        assert t is not None
-        return check_scott_necessity(p, t)
-    if v.theorem_id == "alexandrov-antitone":
-        coarse = build_preorder(doc.elements,
-                                [tuple(ab) for ab in v.params["coarse_relation"]],
-                                autoclose=False)
-        return check_alexandrov_antitone(coarse, p)
-    if v.theorem_id == "linear-extensions-lsc":
-        assert t is not None
-        return check_linear_extensions_lsc(p, t, v.params["samples"], v.params["seed"])
-    if v.theorem_id == "chain-restriction":
-        assert t is not None
-        return check_chain_restriction(p, t, mask_of(p, v.params["chain"]), v.params["x"])
-    raise ValueError(f"unknown theorem id {v.theorem_id!r}")
+    if needs_topology and t is None:
+        raise ValueError(f"a {v.theorem_id!r} record needs a topology; its document has none")
+    return replay(doc, p, t, v.params)

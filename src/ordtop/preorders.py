@@ -384,25 +384,20 @@ def enumerate_linear_extensions(p: Preorder, limit: int) -> list[Preorder]:
     k = q.order.n
     class_cols = q.order.cols
     results: list[Preorder] = []
-    acc: list[int] = []
-
-    def dfs(remaining: int) -> None:
-        if len(results) >= limit:
-            return
+    # Each frame is a class order so far and the classes it leaves; the
+    # next classes are pushed highest first, so they pop lowest first.
+    stack: list[tuple[list[int], int]] = [([], (1 << k) - 1)]
+    while stack and len(results) < limit:
+        acc, remaining = stack.pop()
         if not remaining:
             results.append(_total_preorder_from_class_order(p, q, acc))
-            return
-        for c in range(k):
-            # c is next when no other remaining class lies below it
-            if class_cols[c] & remaining != 1 << c:
-                continue
-            acc.append(c)
-            dfs(remaining & ~(1 << c))
-            acc.pop()
-            if len(results) >= limit:
-                return
-
-    dfs((1 << k) - 1)
+            continue
+        # c is next when no other remaining class lies below it
+        stack.extend(
+            (acc + [c], remaining & ~(1 << c))
+            for c in range(k - 1, -1, -1)
+            if class_cols[c] & remaining == 1 << c
+        )
     return results
 
 

@@ -394,8 +394,12 @@ def _chain_outsider_pairs(p: Preorder) -> Iterator[tuple[int, str]]:
 
     A mask is a chain when it lies inside the comparability set of each
     of its points; the outsiders are the points comparable to none of
-    them.  Chains ascend, and so do the outsiders of each chain.
+    them.  Chains ascend, and so do the outsiders of each chain.  All 2^n
+    masks are walked, so more than :data:`SUITE_CAP` points are refused
+    before the first one.
     """
+    if p.n > SUITE_CAP:
+        raise TooLargeError(SUITE_CAP, p.n, what="chain/outsider preorder")
     full = p.full_mask
     comparable = [r | c for r, c in zip(p.rows, p.cols)]
     elements = p.elements

@@ -71,12 +71,27 @@ class Topology(_Record):
 
     @property
     def opens(self) -> tuple[int, ...]:
-        """Every open mask, ascending: the up-sets of the rows, at least 2^width of them."""
-        w = kernels.max_antichain(self.rows).bit_count()
-        if 1 << w > kernels.UP_SETS_CAP:
+        """Every open mask, ascending: the up-sets of the rows, at least 2^width of them.
+
+        An up-set of a disjoint union is one up-set of each part, so the
+        family has the product of the parts' counts; the parts are listed
+        one by one, and a product past ``UP_SETS_CAP`` is refused before
+        the whole is listed.
+        """
+        rows, cap = self.rows, kernels.UP_SETS_CAP
+        w = kernels.max_antichain(rows).bit_count()
+        if 1 << w > cap:
             what = f"counting only the up-closures of a {w}-point antichain, the open family"
-            raise TooLargeError(kernels.UP_SETS_CAP, 1 << w, what)
-        return tuple(kernels.up_sets(self.rows))
+            raise TooLargeError(cap, 1 << w, what)
+        parts = _components(rows)
+        if len(parts) > 1:
+            count = 1
+            for k, part in enumerate(parts, 1):
+                count *= len(kernels.up_sets(kernels.compact_rows(rows, part)))
+                if count > cap:
+                    what = f"counting the up-sets of {k} of its {len(parts)} parts, the open family"
+                    raise TooLargeError(cap, count, what)
+        return tuple(kernels.up_sets(rows))
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is open; False for a mask outside the ground set."""
@@ -85,6 +100,18 @@ class Topology(_Record):
         except OutOfBoundsError:
             return False
         return kernels.first_escape(self.rows, mask) < 0
+
+
+def _components(rows: tuple[int, ...]) -> list[int]:
+    """The connected components of the preorder ``rows``, as masks: the
+    classes of the equivalence that each row's points generate."""
+    parts: list[int] = []
+    for r in rows:
+        for q in [q for q in parts if q & r]:
+            parts.remove(q)
+            r |= q
+        parts.append(r)
+    return parts
 
 
 def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:

@@ -520,3 +520,24 @@ def test_open_listing_is_refused_from_the_width_before_listing(monkeypatch, caps
     assert code == 2
     assert f"capped at {kernels.UP_SETS_CAP}" in json.loads(out)["error"]
     assert peak < 4_000_000
+
+
+def test_open_listing_of_disjoint_parts_is_refused_from_their_counts(capsys, tmp_path):
+    # 20 disjoint 2-chains: width 20, so 2^20 opens pass the width check,
+    # but the parts have 3 up-sets each, 3^20 in all; none is listed whole.
+    labels = [f"c{c}_{k}" for c in range(20) for k in range(2)]
+    relation = [[f"c{c}_0", f"c{c}_1"] for c in range(20)]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"elements": labels, "relation": relation, "autoclose": True}))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out = run_cli(capsys, "topology", str(path), "--topology", "alexandrov", "--json")
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "13 of its 20 parts" in error and f"capped at {kernels.UP_SETS_CAP}" in error
+    assert elapsed < 0.1 and peak < 1_000_000

@@ -159,6 +159,25 @@ def test_indented_json_is_written_in_one_place():
     assert found == []
 
 
+def test_no_nested_function_calls_itself():
+    """A nested function that refers to its own name holds itself through
+    its closure cell: each call of the enclosing function leaves a cycle,
+    and all that the closure reaches, for the cyclic collector.  Recurse
+    with an explicit stack instead."""
+    found = []
+    for path in sorted((SRC / "ordtop").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(outer):
+                if node is outer or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
+                    found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_checkers_are_imported_beneath_the_theorems_layer():
     # A per-layer import report (``-X importtime``) charges a module to the
     # layer that first imported it, so the checkers count as theorems time.

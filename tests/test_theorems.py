@@ -1,5 +1,6 @@
 """Theorem checkers, enumeration, mining, and violation plumbing."""
 
+import gc
 import itertools
 import json
 import random
@@ -370,6 +371,23 @@ def test_every_theorem_replays_through_its_public_checker(theorem_id, monkeypatc
     assert report.theorem_id == theorem_id and report.ok
 
 
+@pytest.mark.parametrize(
+    "theorem_id", [tid for tid in theorems.THEOREM_IDS if REPLAY_CASES[tid][0] is not None]
+)
+def test_replay_refuses_a_record_whose_document_lacks_its_topology(theorem_id, monkeypatch):
+    name = "check_" + theorem_id.replace("-", "_")
+    monkeypatch.setattr(checkers, name, lambda *args: pytest.fail("checker called"))
+    v = checkers._violation(theorem_id, _hook_instance(), params=REPLAY_CASES[theorem_id][1])
+    with pytest.raises(ValueError, match=f"'{theorem_id}' record needs a topology"):
+        replay_violation(v)
+
+
+def test_replay_refuses_an_unknown_theorem_before_parsing(monkeypatch):
+    monkeypatch.setattr(instances, "parse_instance", lambda text: pytest.fail("parsed"))
+    with pytest.raises(ValueError, match="unknown theorem id 'no-such-theorem'"):
+        replay_violation(TheoremViolation("no-such-theorem", "{}", {}, ""))
+
+
 def test_violation_serialisation_and_replay(chain3, monkeypatch):
     tu = ot.upper_topology(chain3)
     v = checkers._violation("lsc-iff-upper", chain3, tu, detail="fabricated")
@@ -617,6 +635,29 @@ def test_chain_outsider_pairs_match_pairwise_oracle():
             assert list(theorems._chain_outsider_pairs(p)) == list(
                 pairwise_chain_outsider_pairs(p)
             )
+
+
+def test_chain_outsider_pairs_refuse_more_than_the_suite_cap():
+    p = ot.build_preorder(default_labels(7))
+    with pytest.raises(TooLargeError) as exc:
+        next(theorems._chain_outsider_pairs(p))
+    assert (exc.value.limit, exc.value.actual) == (theorems.SUITE_CAP, 7)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_and_miner_leave_no_cyclic_garbage(seed):
+    # A reference cycle per call (a recursive closure, say) holds its
+    # objects until the cyclic collector runs; the drivers make none.
+    gc.collect()
+    gc.disable()
+    try:
+        theorems.run_theorem_suite(3, seed)
+        suite_garbage = gc.collect()
+        theorems.mine(seed, 30, 6)
+        mine_garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (suite_garbage, mine_garbage) == (0, 0)
 
 
 def test_suite_size_4_counts():

@@ -416,9 +416,16 @@ def test_large_ground_operations_never_list_subsets():
 def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
     monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
     assert len(ot.discrete(3).opens) == 8
-    # two disjoint 2-chains: width 2, but 9 up-sets, which the listing counts
+    # a point below three others: connected and of width 3, but 9 up-sets,
+    # which the listing counts
     with pytest.raises(TooLargeError, match="listed so far"):
+        Topology(4, (0b1111, 0b0010, 0b0100, 0b1000)).opens
+    # two disjoint 2-chains: width 2, but 3 * 3 up-sets, counted part by part
+    real, listed = kernels.up_sets, []
+    monkeypatch.setattr(kernels, "up_sets", lambda rows: listed.append(len(rows)) or real(rows))
+    with pytest.raises(TooLargeError, match="2 of its 2 parts"):
         Topology(4, (0b0011, 0b0010, 0b1100, 0b1000)).opens
+    assert listed == [2, 2]
     # width 4: its antichain alone has 16 up-closures, so nothing is listed
     monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
     with pytest.raises(TooLargeError, match="4-point antichain"):
