@@ -83,8 +83,8 @@ class Topology(_Record):
         if 1 << w > cap:
             what = f"counting only the up-closures of a {w}-point antichain, the open family"
             raise TooLargeError(cap, 1 << w, what)
-        parts = _components(rows)
-        if len(parts) > 1:
+        # 2^n bounds the family, so only a larger ground set can pass the cap.
+        if 1 << len(rows) > cap and len(parts := _components(rows)) > 1:
             count = 1
             for k, part in enumerate(parts, 1):
                 count *= len(kernels.up_sets(kernels.compact_rows(rows, part)))
