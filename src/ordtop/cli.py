@@ -113,12 +113,12 @@ def cmd_validate(args) -> int:
 
 def cmd_topology(args) -> int:
     inst = _instance(args)
-    opens = inst.topology.opens
+    opens = instances.OpenListing(inst.p, inst.topology.opens)
     result = {
         "mode": inst.mode or "explicit",
         "ground_size": inst.p.n,
         "open_count": len(opens),
-        "opens": [list(labels_of(inst.p, o)) for o in opens],
+        "opens": opens,
     }
     return _emit(args, True, result)
 

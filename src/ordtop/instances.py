@@ -14,6 +14,7 @@ in the JSON text.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -40,7 +41,7 @@ DOCUMENT_MODES = (*TOPOLOGY_MODES, "explicit")
 
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
-# Encoded pieces joined into one string at a time by indented_json.
+# Characters of encoded text that indented_json joins into one batch.
 _JSON_BATCH = 4096
 
 
@@ -241,7 +242,7 @@ def function_payload(elements: Sequence[str], values: Iterable[object]) -> dict[
 
 
 def document_payload(doc: InstanceDocument) -> dict[str, object]:
-    """The document as JSON values; the only place opens become label lists."""
+    """The document as JSON values; explicit opens as an :class:`OpenListing`."""
     payload: dict[str, object] = {
         "elements": list(doc.elements),
         "relation": [list(pair) for pair in doc.relation],
@@ -251,8 +252,7 @@ def document_payload(doc: InstanceDocument) -> dict[str, object]:
         tpay: dict[str, object] = {"mode": doc.topology.mode}
         t = doc.topology.explicit
         if t is not None:
-            p = document_preorder(doc)
-            tpay["opens"] = [list(labels_of(p, m)) for m in t.opens]
+            tpay["opens"] = OpenListing(document_preorder(doc), t.opens)
         payload["topology"] = tpay
     if doc.functions is not None:
         payload["functions"] = {
@@ -269,17 +269,52 @@ def serialize_instance(doc: InstanceDocument) -> str:
 def indented_json(obj: object) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)``, in batches; the one indented writer.
 
-    The encoder's pieces are joined ``_JSON_BATCH`` at a time: holding every
-    piece of a large listing at once costs megabytes, and writing them one by
-    one costs a system call each when stdout is unbuffered (``python -u``).
+    The encoder's pieces are joined once they hold ``_JSON_BATCH``
+    characters: holding every piece of a large listing at once costs
+    megabytes, and writing them one by one costs a system call each when
+    stdout is unbuffered (``python -u``).
     """
     batch = []
+    size = 0
     for piece in json.JSONEncoder(indent=2).iterencode(obj):
         batch.append(piece)
-        if len(batch) == _JSON_BATCH:
+        size += len(piece)
+        if size >= _JSON_BATCH:
             yield "".join(batch)
             batch.clear()
+            size = 0
     yield "".join(batch)
+
+
+def _read_by_iterating(self, *args):
+    raise TypeError("an OpenListing is read only by iterating it, one label tuple per open")
+
+
+class OpenListing(tuple):
+    """The open masks of a topology on ``p``, read as label tuples; the only
+    place opens become label lists.
+
+    Iterating yields ``labels_of(p, m)`` for one mask at a time, so a JSON
+    encoder writes each open's labels while only the masks are held.  Every
+    other way in to the stored masks (indexing, membership, comparison,
+    hashing, copying, pickling) raises :class:`TypeError`, so none is read
+    as if it were labels; ``repr`` is the list of label lists.
+    """
+
+    def __new__(cls, p: Preorder, masks: Iterable[int]) -> OpenListing:
+        listing = super().__new__(cls, masks)
+        listing.p = p
+        return listing
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return map(partial(labels_of, self.p), tuple.__iter__(self))
+
+    def __repr__(self) -> str:
+        return repr([list(labels) for labels in self])
+
+    __getitem__ = __contains__ = __hash__ = __reduce_ex__ = count = index = _read_by_iterating
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read_by_iterating
+    __add__ = __mul__ = __rmul__ = _read_by_iterating
 
 
 def document_preorder(doc: InstanceDocument) -> Preorder:

@@ -160,6 +160,43 @@ def up_sets(rows: Sequence[int]) -> list[int]:
     return out
 
 
+def count_up_sets(rows: Sequence[int], limit: int) -> int:
+    """The number of up-sets of a preorder when it is at most ``limit``,
+    else some number above ``limit``; none is listed.
+
+    Branches as :func:`up_sets` does, but first takes out each undecided
+    point that no other undecided point lies above or below: it can go
+    either way alone, so it doubles the count instead of the branches.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    cols = _columns(rows)
+    near = [r | c for r, c in zip(rows, cols)]
+    total = 0
+    stack = [(0, 0, 1)]
+    while stack:
+        inside, outside, weight = stack.pop()
+        undecided = full & ~(inside | outside)
+        m = undecided
+        while m:
+            low = m & -m
+            if near[low.bit_length() - 1] & undecided == low:
+                weight <<= 1
+                outside |= low
+                undecided ^= low
+            m ^= low
+        if not undecided:
+            total += weight
+            if total > limit:
+                return total
+            continue
+        bit = undecided & -undecided
+        x = bit.bit_length() - 1
+        stack.append((inside | rows[x] | bit, outside, weight))
+        stack.append((inside, outside | cols[x] | bit, weight))
+    return total
+
+
 def _columns(rows: Sequence[int]) -> list[int]:
     n = len(rows)
     cols = [0] * n

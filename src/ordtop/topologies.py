@@ -73,23 +73,25 @@ class Topology(_Record):
     def opens(self) -> tuple[int, ...]:
         """Every open mask, ascending: the up-sets of the rows, at least 2^width of them.
 
-        An up-set of a disjoint union is one up-set of each part, so the
-        family has the product of the parts' counts; the parts are listed
-        one by one, and a product past ``UP_SETS_CAP`` is refused before
-        the whole is listed.
+        2^n bounds the family, so only a ground set whose 2^n passes
+        ``UP_SETS_CAP`` can pass it; such a family is refused from its
+        width, or from its up-sets counted part by part (an up-set of a
+        disjoint union is one up-set of each part, so the counts multiply),
+        before anything is listed.
         """
         rows, cap = self.rows, kernels.UP_SETS_CAP
-        w = kernels.max_antichain(rows).bit_count()
-        if 1 << w > cap:
-            what = f"counting only the up-closures of a {w}-point antichain, the open family"
-            raise TooLargeError(cap, 1 << w, what)
-        # 2^n bounds the family, so only a larger ground set can pass the cap.
-        if 1 << len(rows) > cap and len(parts := _components(rows)) > 1:
+        if 1 << len(rows) > cap:
+            w = kernels.max_antichain(rows).bit_count()
+            if 1 << w > cap:
+                what = f"counting only the up-closures of a {w}-point antichain, the open family"
+                raise TooLargeError(cap, 1 << w, what)
+            parts = _components(rows)
             count = 1
             for k, part in enumerate(parts, 1):
-                count *= len(kernels.up_sets(kernels.compact_rows(rows, part)))
+                part_rows = kernels.compact_rows(rows, part)
+                count *= kernels.count_up_sets(part_rows, cap // count)
                 if count > cap:
-                    what = f"counting the up-sets of {k} of its {len(parts)} parts, the open family"
+                    what = f"counted so far, over {k} of its {len(parts)} parts, the open family"
                     raise TooLargeError(cap, count, what)
         return tuple(kernels.up_sets(rows))
 

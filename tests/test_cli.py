@@ -541,3 +541,70 @@ def test_open_listing_of_disjoint_parts_is_refused_from_their_counts(capsys, tmp
     error = json.loads(out)["error"]
     assert "13 of its 20 parts" in error and f"capped at {kernels.UP_SETS_CAP}" in error
     assert elapsed < 0.1 and peak < 1_000_000
+
+
+def test_open_listing_of_one_connected_part_is_refused_from_its_count(capsys, tmp_path):
+    # A point below 20 others: width 20, so 2^20 opens pass the width check,
+    # and one connected part with 2^20 + 1 up-sets, counted, never listed.
+    tops = [f"t{i:02d}" for i in range(20)]
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps({"elements": ["b", *tops], "relation": [["b", t] for t in tops]}))
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "topology", str(path), "--topology", "alexandrov", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "1 of its 1 parts" in error and f"capped at {kernels.UP_SETS_CAP}" in error
+    assert peak < 1_000_000
+
+
+def test_open_listing_holds_masks_not_label_lists(monkeypatch, tmp_path):
+    # 14 points: 16,384 opens.  As label lists they peak near 3.3 MB; as
+    # masks, each open's labels built only when the encoder reaches it,
+    # near 1 MB.  The output goes to a file, so it is not traced.
+    n = 14
+    out_path = tmp_path / "out.json"
+    with out_path.open("w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            code = main(["topology", _antichain(tmp_path, n), "--topology", "discrete", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    labels = [f"e{i:02d}" for i in range(n)]
+    opens = [[x for i, x in enumerate(labels) if m >> i & 1] for m in range(1 << n)]
+    envelope = {"command": "topology", "ok": True, "exit_code": 0,
+                "result": {"mode": "discrete", "ground_size": n, "open_count": 1 << n,
+                           "opens": opens},
+                "witness": None}
+    assert out_path.read_text(encoding="utf-8") == json.dumps(envelope, indent=2) + "\n"
+    assert peak < 2_000_000, f"listing peak {peak} B"
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_witness_lists_explicit_opens_by_label(capsys, tmp_path, as_json):
+    # a < b < c in the topology {}, {a}, {a, b, c}: the contour {a} of a is
+    # not closed, and the witness lists the document's explicit opens.
+    opens = [[], ["a"], ["a", "b", "c"]]
+    doc = {"elements": ["a", "b", "c"], "relation": [["a", "b"], ["b", "c"]],
+           "autoclose": True, "topology": {"mode": "explicit", "opens": opens}}
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check-lsc", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        instance = json.loads(out)["witness"]["instance"]
+    else:
+        head = "witness instance (feed to `ordtop validate`):\n"
+        text = out[out.index(head) + len(head):out.index("\ndetail: ")] + "\n"
+        instance = json.loads(text)
+        assert text == json.dumps(instance, indent=2) + "\n"
+    assert instance["topology"] == {"mode": "explicit", "opens": opens}
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(instance))
+    assert main(["check-lsc", str(witness)]) == 1

@@ -1,7 +1,9 @@
 """Instance document parsing, canonical serialisation, and DOT export."""
 
+import copy
 import itertools
 import json
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -248,8 +250,33 @@ def test_make_document_lists_no_opens_until_serialised(vee, monkeypatch):
     assert doc.topology.explicit is t and calls == []
     payload = document_payload(doc)
     assert len(calls) == 1
-    assert payload["topology"]["opens"] == [list(ot.labels_of(vee, m)) for m in t.opens]
+    # the listing holds masks, so it is compared as the text it encodes to
+    labels = [list(ot.labels_of(vee, m)) for m in t.opens]
+    assert json.dumps(payload["topology"]["opens"], indent=2) == json.dumps(labels, indent=2)
     assert serialize_instance(doc) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_open_listing_is_read_only_by_iterating(vee):
+    # Iterating yields each open's labels; both JSON encoders iterate (the
+    # C one too, since the listing is not an exact tuple), so both write the
+    # labels.  Every other way in to the stored masks raises.
+    t = ot.alexandrov_topology(vee)
+    opens = instances.OpenListing(vee, t.opens)
+    labels = [list(ot.labels_of(vee, m)) for m in t.opens]
+    assert len(opens) == len(labels) and [list(o) for o in opens] == labels
+    assert json.dumps(opens) == json.dumps(labels)
+    assert json.dumps(opens, indent=2) == json.dumps(labels, indent=2)
+    assert repr(opens) == str(opens) == repr(labels)
+    reads = [
+        lambda: opens[0], lambda: opens[:1], lambda: 0 in opens, lambda: opens == (),
+        lambda: opens != labels, lambda: opens < (), lambda: hash(opens),
+        lambda: opens + (), lambda: opens * 2, lambda: 2 * opens,
+        lambda: opens.count(0), lambda: opens.index(0),
+        lambda: pickle.dumps(opens), lambda: copy.copy(opens), lambda: copy.deepcopy(opens),
+    ]
+    for read in reads:
+        with pytest.raises(TypeError, match="read only by iterating"):
+            read()
 
 
 def test_syntax_error_carries_line():

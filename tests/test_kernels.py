@@ -105,6 +105,25 @@ def test_up_sets_stop_as_soon_as_the_listing_passes_the_cap(monkeypatch):
     assert exc.value.actual == 8
 
 
+def test_up_set_count_matches_pair_scan_and_stops_past_its_limit():
+    rng = random.Random(17)
+    for _ in range(60):
+        rows = random_relation(rng, rng.randint(1, 7))
+        exact = len(brute_up_sets(rows))
+        assert kernels.count_up_sets(rows, exact) == exact
+        for limit in range(exact):
+            assert kernels.count_up_sets(rows, limit) > limit
+    # a point below 20 others: 2^20 + 1 up-sets, counted without a listing
+    below = [(1 << 21) - 1] + [1 << i for i in range(1, 21)]
+    tracemalloc.start()
+    try:
+        assert kernels.count_up_sets(below, kernels.UP_SETS_CAP) == (1 << 20) + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def brute_directed_sup(leq: list[list[bool]], d: int) -> tuple[bool, int | None]:
     """Independent oracle from the definitions, on the relation matrix:
     directed when every pair of members has an upper bound among the

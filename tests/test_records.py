@@ -159,6 +159,25 @@ def test_indented_json_is_written_in_one_place():
     assert found == []
 
 
+def test_opens_become_label_lists_only_in_instances():
+    """``instances.OpenListing`` is the one place opens become label lists,
+    one open at a time: a function elsewhere that reads ``.opens`` and names
+    ``labels_of`` builds them a second way, every list at once."""
+    found = []
+    for path in sorted((SRC / "ordtop").rglob("*.py")):
+        if path.name == "instances.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            nodes = list(ast.walk(func))
+            attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            names = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
+            if "opens" in attrs and "labels_of" in names:
+                found.append(f"{path.relative_to(SRC).as_posix()}:{func.lineno}")
+    assert found == []
+
+
 def test_no_nested_function_calls_itself():
     """A nested function that refers to its own name holds itself through
     its closure cell: each call of the enclosing function leaves a cycle,

@@ -416,17 +416,28 @@ def test_large_ground_operations_never_list_subsets():
 def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
     monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
     assert len(ot.discrete(3).opens) == 8
-    # a point below three others: connected and of width 3, but 9 up-sets,
-    # which the listing counts
-    with pytest.raises(TooLargeError, match="listed so far"):
+    # Past 2^3 points nothing is listed before the family is known to fit.
+    monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
+    # a point below three others: connected and of width 3, but 9 up-sets, counted
+    with pytest.raises(TooLargeError, match="1 of its 1 parts"):
         Topology(4, (0b1111, 0b0010, 0b0100, 0b1000)).opens
     # two disjoint 2-chains: width 2, but 3 * 3 up-sets, counted part by part
-    real, listed = kernels.up_sets, []
-    monkeypatch.setattr(kernels, "up_sets", lambda rows: listed.append(len(rows)) or real(rows))
     with pytest.raises(TooLargeError, match="2 of its 2 parts"):
         Topology(4, (0b0011, 0b0010, 0b1100, 0b1000)).opens
-    assert listed == [2, 2]
-    # width 4: its antichain alone has 16 up-closures, so nothing is listed
-    monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
+    # width 4: its antichain alone has 16 up-closures
     with pytest.raises(TooLargeError, match="4-point antichain"):
         ot.discrete(4).opens
+
+
+def test_open_listing_on_at_most_twenty_points_runs_no_guard(monkeypatch):
+    # 2^20 opens fit the cap, so no family on 20 points can pass it: neither
+    # the width's matching nor a count runs before the listing.
+    def never(*args):
+        raise AssertionError("guard ran")
+
+    monkeypatch.setattr(kernels, "max_antichain", never)
+    monkeypatch.setattr(kernels, "count_up_sets", never)
+    assert len(ot.discrete(8).opens) == 1 << 8
+    labels = default_labels(20)
+    chain = ot.build_preorder(labels, list(zip(labels, labels[1:])))
+    assert len(ot.alexandrov_topology(chain).opens) == 21
