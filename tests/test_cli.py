@@ -151,7 +151,7 @@ def test_witness_names_a_mode_given_topology_by_its_mode(capsys, tmp_path, point
     assert time.perf_counter() - started < 1.0
 
 
-@pytest.mark.parametrize("source", ["document", "file-mode", "file-opens"])
+@pytest.mark.parametrize("source", ["document", "file-mode", "file-opens", "document-opens"])
 def test_witness_names_a_topology_by_the_mode_that_named_it(capsys, tmp_path, source):
     # A mode name in a document names the witness's topology, as one on the
     # command line does; explicit opens stay explicit.
@@ -162,16 +162,18 @@ def test_witness_names_a_topology_by_the_mode_that_named_it(capsys, tmp_path, so
         json.dumps({"elements": ["c", "b", "a"], "topology": {"mode": "indiscrete"}})
     )
     explicit = _explicit_chain(tmp_path, ["c", "b", "a"], [[], ["a", "b", "c"]])
+    chain["topology"] = {"mode": "explicit", "opens": [[], ["a", "b", "c"]]}
+    (tmp_path / "chain_opens.json").write_text(json.dumps(chain))
     argv = {
         "document": [str(tmp_path / "chain.json")],
         "file-mode": [fx("chain3.json"), "--topology", str(tmp_path / "named.json")],
         "file-opens": [fx("chain3.json"), "--topology", explicit],
+        "document-opens": [str(tmp_path / "chain_opens.json")],
     }[source]
     code, payload = run_json(capsys, "check-lsc", *argv)
     assert code == 1
     assert payload["witness"]["instance"]["topology"] == (
-        {"mode": "explicit", "opens": [[], ["a", "b", "c"]]} if source == "file-opens"
-        else {"mode": "indiscrete"}
+        chain["topology"] if source.endswith("opens") else {"mode": "indiscrete"}
     )
 
 
@@ -586,24 +588,20 @@ def test_open_listing_holds_masks_not_label_lists(monkeypatch, tmp_path):
     assert peak < 2_000_000, f"listing peak {peak} B"
 
 
-@pytest.mark.parametrize("as_json", [True, False])
-def test_witness_lists_explicit_opens_by_label(capsys, tmp_path, as_json):
+def test_text_witness_lists_explicit_opens_by_label(capsys, tmp_path):
     # a < b < c in the topology {}, {a}, {a, b, c}: the contour {a} of a is
-    # not closed, and the witness lists the document's explicit opens.
+    # not closed, and the text witness lists the document's explicit opens.
     opens = [[], ["a"], ["a", "b", "c"]]
     doc = {"elements": ["a", "b", "c"], "relation": [["a", "b"], ["b", "c"]],
            "autoclose": True, "topology": {"mode": "explicit", "opens": opens}}
     path = tmp_path / "explicit.json"
     path.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "check-lsc", str(path), *(["--json"] if as_json else []))
+    code, out = run_cli(capsys, "check-lsc", str(path))
     assert code == 1
-    if as_json:
-        instance = json.loads(out)["witness"]["instance"]
-    else:
-        head = "witness instance (feed to `ordtop validate`):\n"
-        text = out[out.index(head) + len(head):out.index("\ndetail: ")] + "\n"
-        instance = json.loads(text)
-        assert text == json.dumps(instance, indent=2) + "\n"
+    head = "witness instance (feed to `ordtop validate`):\n"
+    text = out[out.index(head) + len(head):out.index("\ndetail: ")] + "\n"
+    instance = json.loads(text)
+    assert text == json.dumps(instance, indent=2) + "\n"
     assert instance["topology"] == {"mode": "explicit", "opens": opens}
     witness = tmp_path / "witness.json"
     witness.write_text(json.dumps(instance))

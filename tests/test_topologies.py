@@ -416,7 +416,7 @@ def test_large_ground_operations_never_list_subsets():
 def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
     monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
     assert len(ot.discrete(3).opens) == 8
-    # Past 2^3 points nothing is listed before the family is known to fit.
+    # On 4 points 2^4 passes the cap, so nothing is listed before the family fits.
     monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
     # a point below three others: connected and of width 3, but 9 up-sets, counted
     with pytest.raises(TooLargeError, match="1 of its 1 parts"):
