@@ -1,22 +1,25 @@
 """One-instance checkers for the order-topology theorems.
 
-Each ``check_*`` decides one instance through the theorem's core, and
-either passes, passes vacuously (its premise failed, which the report
-makes explicit through ``non_vacuous``), or emits a replayable violation
-carrying a serialised instance document.  Violations should never occur;
-any one of them is a bug certificate.  The cores are shared with the
-suite drivers in :mod:`ordtop.theorems`.
+Each theorem has one step, which decides the instances of one preorder
+held in an :class:`_Inputs`, and a public ``check_*``, which builds the
+inputs of its one instance and runs the step.  A check either passes,
+passes vacuously (its premise failed, which the report makes explicit
+through ``non_vacuous``), or emits a replayable violation carrying a
+serialised instance document.  Violations should never occur; any one of
+them is a bug certificate.  The table of theorems names each step, and
+the suite drivers in :mod:`ordtop.theorems` run it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ordtop import instances, kernels
 from ordtop.errors import GroundMismatchError, PremiseFailedError, RefinementViolatedError
 from ordtop.preorders import (
     Preorder,
+    _check_chain_and_outsider,
     _szpilrajn_class_order,
     build_preorder,
     enumerate_linear_extensions,
@@ -28,13 +31,13 @@ from ordtop.representations import (
     PreorderScVerdict,
     RepVerdict,
     Sense,
-    _key_level_sets,
-    _lsc_rp_rows,
-    _rp_verdict,
+    _members_not_lsc,
+    _scott_family,
     preorder_semicontinuity,
 )
 from ordtop.topologies import (
     Topology,
+    _chain_refines_alexandrov,
     alexandrov_topology,
     is_closed,
     is_finer,
@@ -65,14 +68,63 @@ class TheoremReport(NamedTuple):
         return self.non_vacuous > 0
 
 
-def _report(theorem_id, checked, non_vacuous, violations, started) -> TheoremReport:
-    return TheoremReport(
-        theorem_id,
-        checked,
-        non_vacuous,
-        tuple(violations),
-        time.perf_counter() - started,
-    )
+_Answer = tuple[int, int, list[TheoremViolation]]  # (checked, non_vacuous, violations)
+
+
+class _Inputs:
+    """The instances of one preorder ``p`` that the steps decide, and the
+    facts that several steps share, each computed on first use.
+
+    The ``sample_ts`` are grouped by rows once (equal rows mean equal
+    topologies on one ground set): ``distinct`` holds each one once and
+    ``slots[k]`` indexes sample k's.  ``tu`` and ``ta`` are the upper and
+    Alexandrov topologies of ``p``, ``fine`` refines ``p`` and ``ta_fine``
+    is its Alexandrov topology, ``cases`` are (topology, seed) pairs that
+    each draw ``samples`` linear extensions, and ``pairs`` are (chain,
+    outsider) pairs.  A step reads only what its theorem needs.
+    """
+
+    __slots__ = ("p", "slots", "distinct", "tu", "ta", "fine", "ta_fine", "cases", "samples",
+                 "pairs", "_lsc", "_scott", "_family")
+
+    def __init__(self, p: Preorder, *, sample_ts=(), tu=None, ta=None, fine=None, ta_fine=None,
+                 cases=(), samples=0, pairs=()) -> None:
+        index: dict[tuple[int, ...], int] = {}
+        self.slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
+        self.distinct = [sample_ts[self.slots.index(i)] for i in range(len(index))]
+        self.p, self.tu, self.ta, self.fine, self.ta_fine = p, tu, ta, fine, ta_fine
+        self.cases, self.samples, self.pairs = cases, samples, list(pairs)
+        self._lsc = self._scott = self._family = None
+
+    def lsc(self) -> list[PreorderScVerdict]:
+        """The lower semicontinuity verdict of ``p`` in each distinct sample."""
+        if self._lsc is None:
+            self._lsc = [preorder_semicontinuity(self.p, t, Sense.LOWER) for t in self.distinct]
+        return self._lsc
+
+    def scott(self) -> Topology:
+        if self._scott is None:
+            self._scott = scott_topology(self.p)
+        return self._scott
+
+    def family(self) -> tuple[list[list[int]], set[int], RepVerdict]:
+        if self._family is None:
+            self._family = _scott_family(self.p)
+        return self._family
+
+
+def _per_sample(inputs: _Inputs, held: Sequence[bool], found: Sequence[list]) -> _Answer:
+    """One instance per sample topology, in sample order, given the premise
+    ``held`` and the violations ``found`` in each distinct one."""
+    slots = inputs.slots
+    return len(slots), sum(held[i] for i in slots), [v for i in slots for v in found[i]]
+
+
+def _run(theorem_id: str, started: float, inputs: _Inputs) -> TheoremReport:
+    """The report of the step of ``theorem_id`` on ``inputs``, timed from ``started``."""
+    checked, non_vacuous, violations = _THEOREMS[theorem_id].step(inputs)
+    elapsed = time.perf_counter() - started
+    return TheoremReport(theorem_id, checked, non_vacuous, tuple(violations), elapsed)
 
 
 def _violation(
@@ -89,22 +141,17 @@ def _violation(
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
     started = time.perf_counter()
-    sc = preorder_semicontinuity(p, t, Sense.LOWER)
-    return _report("lsc-iff-upper", 1, 1, _lsc_iff_upper(p, t, sc, upper_topology(p)), started)
+    return _run("lsc-iff-upper", started, _Inputs(p, sample_ts=[t], tu=upper_topology(p)))
 
 
-def _lsc_iff_upper(
-    p: Preorder, t: Topology, sc: PreorderScVerdict, tu: Topology
-) -> list[TheoremViolation]:
-    """Core of :func:`check_lsc_iff_upper`: the violations of the instance
-    (p, t), whose premise always holds.  ``sc`` is the lower
-    semicontinuity verdict of ``p`` in ``t`` and ``tu`` is
-    ``upper_topology(p)``."""
-    rhs = is_finer(t, tu).ok
-    if sc.ok == rhs:
-        return []
-    detail = f"semicontinuity={sc.ok} but upper-refinement={rhs}"
-    return [_violation("lsc-iff-upper", p, t, detail=detail)]
+def _lsc_iff_upper(inputs: _Inputs) -> _Answer:
+    """Step of lsc-iff-upper in each sample topology; its premise always holds."""
+    p, found = inputs.p, []
+    for t, sc in zip(inputs.distinct, inputs.lsc()):
+        rhs = is_finer(t, inputs.tu).ok
+        found.append([] if sc.ok == rhs else [_violation(
+            "lsc-iff-upper", p, t, detail=f"semicontinuity={sc.ok} but upper-refinement={rhs}")])
+    return _per_sample(inputs, [True] * len(found), found)
 
 
 def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
@@ -115,75 +162,44 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     instance a vacuous pass (after confirming the obstruction itself).
     """
     started = time.perf_counter()
-    sc = preorder_semicontinuity(p, t, Sense.LOWER)
-    family, scott = (_scott_family(p), scott_topology(p)) if sc.ok else (None, None)
-    violations = _scott_necessity(p, t, sc, family, scott)
-    return _report("scott-necessity", 1, int(sc.ok), violations, started)
+    return _run("scott-necessity", started, _Inputs(p, sample_ts=[t]))
 
 
-def _scott_family(p: Preorder) -> tuple[list[list[int]], set[int], RepVerdict]:
-    """The family of :func:`construct_finite_lsc_rp_multiutility` as its
-    members' sublevel sets, each distinct one of those, and the family's
-    Richter-Peleg verdict; all depend on ``p`` alone."""
-    levels = [_key_level_sets(row) for row in _lsc_rp_rows(p)]
-    belows = [below for below, _ in levels]
-    return belows, {m for below in belows for m in below}, _rp_verdict(levels, p)
-
-
-def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tuple[int, int]]:
-    """Each member (given by its sublevel sets) that is not lsc in ``t``, with
-    its first non-closed position.  Each distinct sublevel set is decided
-    once; the members are searched only when one of those is not closed."""
-    if kernels.first_not_closed(t.rows, sublevels) < 0:
-        return []
-    firsts = [(k, kernels.first_not_closed(t.rows, below)) for k, below in enumerate(belows)]
-    return [(k, x) for k, x in firsts if x >= 0]
-
-
-def _scott_necessity(
-    p: Preorder,
-    t: Topology,
-    sc: PreorderScVerdict,
-    family: tuple[list[list[int]], set[int], RepVerdict] | None,
-    scott: Topology | None,
-) -> list[TheoremViolation]:
-    """Core of :func:`check_scott_necessity`: the violations of the instance
-    (p, t).  Its premise is ``sc``, the lower semicontinuity verdict of
-    ``p`` in ``t``.  ``family`` is :func:`_scott_family` of ``p`` and
-    ``scott`` is ``scott_topology(p)``; only an instance whose premise
-    holds reads them, so both may be None when it fails."""
-    details = []
-    if not sc.ok:
-        assert sc.contour is not None
-        if is_closed(t, sc.contour):
-            details.append(f"obstruction contour of {sc.witness!r} is closed after all")
-    else:
-        assert family is not None and scott is not None
-        belows, sublevels, verdict = family
-        if not verdict.ok:
-            details.append(f"constructed family fails the RP check: {verdict.witness}")
-        for k, x in _members_not_lsc(t, belows, sublevels):
-            details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
-        fin = is_finer(t, scott)
-        if not fin.ok:
-            details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
-    return [_violation("scott-necessity", p, t, detail=d) for d in details]
+def _scott_necessity(inputs: _Inputs) -> _Answer:
+    """Step of scott-necessity in each sample topology, whose premise is the
+    lower semicontinuity of ``p`` there.  Only an instance whose premise
+    holds reads the Scott family and topology."""
+    p, lsc, found = inputs.p, inputs.lsc(), []
+    for t, sc in zip(inputs.distinct, lsc):
+        details = []
+        if not sc.ok:
+            assert sc.contour is not None
+            if is_closed(t, sc.contour):
+                details.append(f"obstruction contour of {sc.witness!r} is closed after all")
+        else:
+            belows, sublevels, verdict = inputs.family()
+            if not verdict.ok:
+                details.append(f"constructed family fails the RP check: {verdict.witness}")
+            for k, x in _members_not_lsc(t, belows, sublevels):
+                details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
+            fin = is_finer(t, inputs.scott())
+            if not fin.ok:
+                details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
+        found.append([_violation("scott-necessity", p, t, detail=d) for d in details])
+    return _per_sample(inputs, [sc.ok for sc in lsc], found)
 
 
 def check_alexandrov_antitone(p_coarse: Preorder, p_fine: Preorder) -> TheoremReport:
     """Refining the preorder can only shrink the Alexandrov topology."""
     started = time.perf_counter()
-    ta_coarse, ta_fine = alexandrov_topology(p_coarse), alexandrov_topology(p_fine)
-    violations = _alexandrov_antitone(p_coarse, p_fine, ta_coarse, ta_fine)
-    return _report("alexandrov-antitone", 1, 1, violations, started)
+    inputs = _Inputs(p_coarse, ta=alexandrov_topology(p_coarse), fine=p_fine,
+                     ta_fine=alexandrov_topology(p_fine))
+    return _run("alexandrov-antitone", started, inputs)
 
 
-def _alexandrov_antitone(
-    p_coarse: Preorder, p_fine: Preorder, ta_coarse: Topology, ta_fine: Topology
-) -> list[TheoremViolation]:
-    """Core of :func:`check_alexandrov_antitone`: the violations of its one
-    instance.  ``ta_coarse`` and ``ta_fine`` are the Alexandrov topologies
-    of the two preorders."""
+def _alexandrov_antitone(inputs: _Inputs) -> _Answer:
+    """Step of alexandrov-antitone on its one instance, ``p`` and ``fine``."""
+    p_coarse, p_fine = inputs.p, inputs.fine
     if p_coarse.elements != p_fine.elements:
         raise GroundMismatchError(p_coarse.n, p_fine.n)
     for i in range(p_coarse.n):
@@ -191,11 +207,11 @@ def _alexandrov_antitone(
         if escaped:
             j = (escaped & -escaped).bit_length() - 1
             raise RefinementViolatedError((p_coarse.elements[i], p_coarse.elements[j]))
-    fin = is_finer(ta_coarse, ta_fine)
+    fin = is_finer(inputs.ta, inputs.ta_fine)
     if fin.ok:
-        return []
+        return 1, 1, []
     coarse_relation = instances.make_document(p_coarse).relation
-    return [
+    return 1, 1, [
         _violation(
             "alexandrov-antitone", p_fine,
             params={"coarse_relation": [list(ab) for ab in coarse_relation]},
@@ -216,16 +232,13 @@ def check_linear_extensions_lsc(
         raise ValueError("samples must be at least 1")
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    checked, violations = _linear_extensions_lsc(p, [(t, seed)], samples, alexandrov_topology(p))
-    return _report("linear-extensions-lsc", checked, checked, violations, started)
+    inputs = _Inputs(p, ta=alexandrov_topology(p), cases=[(t, seed)], samples=samples)
+    return _run("linear-extensions-lsc", started, inputs)
 
 
-def _linear_extensions_lsc(
-    p: Preorder, cases: Sequence[tuple[Topology, int]], samples: int, ta: Topology
-) -> tuple[int, list[TheoremViolation]]:
-    """Core of :func:`check_linear_extensions_lsc` over the (topology, seed)
-    ``cases``; ``ta`` is ``alexandrov_topology(p)``.  Returns the
-    extensions checked, each a non-vacuous instance, and the violations.
+def _linear_extensions_lsc(inputs: _Inputs) -> _Answer:
+    """Step of linear-extensions-lsc over the (topology, seed) ``cases``;
+    each extension checked is a non-vacuous instance.
 
     Every case's premise is decided first, so a failing one raises before
     anything is enumerated.  It then enumerates ``samples + 1``
@@ -234,8 +247,9 @@ def _linear_extensions_lsc(
     are checked.  A drawn extension stays a class order: its contours are
     the prefix unions.
     """
-    for t, _ in cases:
-        fin = is_finer(t, ta)
+    p, samples = inputs.p, inputs.samples
+    for t, _ in inputs.cases:
+        fin = is_finer(t, inputs.ta)
         if not fin.ok:
             raise PremiseFailedError(
                 "topology is not finer than the Alexandrov topology", fin.missing_open
@@ -245,7 +259,7 @@ def _linear_extensions_lsc(
     # so one quotient serves every sample.
     q = quotient(p) if len(extensions) > samples else None
     checked, violations = 0, []
-    for t, seed in cases:
+    for t, seed in inputs.cases:
         if q is not None:
             orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
             contours = [
@@ -265,7 +279,7 @@ def _linear_extensions_lsc(
                     detail=f"extension contour of {p.elements[i % p.n]!r} is not closed",
                 )
             )
-    return checked, violations
+    return checked, checked, violations
 
 
 def check_chain_restriction(
@@ -283,111 +297,53 @@ def check_chain_restriction(
     started = time.perf_counter()
     if p.n != t.ground_size:
         raise GroundMismatchError(p.n, t.ground_size)
-    ta = alexandrov_topology(p)
-    _check_chain_and_outsider(p, chain, x)
-    failed = _chain_restriction(p, t, [chain], ta)
-    violations = _chain_violations(p, [(chain, x)], [(t, failed)])
-    return _report("chain-restriction", 1, int(failed is not None), violations, started)
+    inputs = _Inputs(p, sample_ts=[t], ta=alexandrov_topology(p), pairs=[(chain, x)])
+    return _run("chain-restriction", started, inputs)
 
 
-def _chain_restriction(
-    p: Preorder, t: Topology, chains: Sequence[int], ta: Topology
-) -> dict[int, int] | None:
-    """Core of :func:`check_chain_restriction` on the instance (p, t), for
-    each of the validated ``chains``: None when the premise fails, else the
-    missing open of each chain that fails the conclusion.  ``ta`` is
-    ``alexandrov_topology(p)``, and the premise is that ``t`` refines it.
-    All outsiders of a chain share its conclusion."""
-    if not is_finer(t, ta).ok:
-        return None
-    return {
-        chain: missing
-        for chain in chains
-        if (missing := _chain_refines_alexandrov(p, t, chain)) is not None
-    }
+def _chain_restriction(inputs: _Inputs) -> _Answer:
+    """Step of chain-restriction: each (chain, outsider) of ``pairs`` in each
+    sample topology, pair by pair and then in sample order.
 
-
-def _chain_violations(
-    p: Preorder,
-    pairs: Sequence[tuple[int, str]],
-    decided: Sequence[tuple[Topology, dict[int, int] | None]],
-) -> list[TheoremViolation]:
-    """The chain-restriction violations of each (chain, outsider) of
-    ``pairs`` in each topology of ``decided``, pair by pair and then in
-    the order of ``decided``, which pairs each topology with its
-    :func:`_chain_restriction` answer."""
-    return [
+    Every pair is validated first.  The premise, that a topology refines
+    ``ta``, is decided once per distinct topology, and where it holds the
+    conclusion once per distinct chain: all outsiders of a chain share it.
+    """
+    p, pairs, slots = inputs.p, inputs.pairs, inputs.slots
+    for chain, x in pairs:
+        _check_chain_and_outsider(p, chain, x)
+    chains = list(dict.fromkeys(chain for chain, _ in pairs))
+    # Per distinct topology: None when the premise fails, else the missing
+    # open of each chain that fails the conclusion.
+    failed = [
+        {c: m for c in chains if (m := _chain_refines_alexandrov(p, t, c)) is not None}
+        if is_finer(t, inputs.ta).ok else None
+        for t in inputs.distinct
+    ]
+    violations = [
         _violation(
-            "chain-restriction", p, t,
+            "chain-restriction", p, inputs.distinct[i],
             params={"chain": list(labels_of(p, chain)), "x": x},
-            detail=f"trace open {failed[chain]:#x} missing on the chain",
+            detail=f"trace open {failed[i][chain]:#x} missing on the chain",
         )
         for chain, x in pairs
-        for t, failed in decided
-        if failed and chain in failed
+        for i in slots
+        if failed[i] and chain in failed[i]
     ]
-
-
-def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | None:
-    """The chain-restriction conclusion: the trace of ``t`` on ``chain``
-    refines the Alexandrov topology of ``p`` restricted to it, i.e.
-    ``t.rows[i] & chain`` lies in ``p.rows[i]`` for each i in the chain.
-    None if it does, else the open missing as ``is_finer(subspace(t, chain),
-    alexandrov_topology(restrict(p, chain)))`` reports it: the compacted
-    row of the first point that fails."""
-    t_rows, p_rows = t.rows, p.rows
-    m = chain
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if t_rows[i] & chain & ~p_rows[i]:
-            return kernels.compact_rows(p_rows, chain)[(chain & (low - 1)).bit_count()]
-        m ^= low
-    return None
-
-
-def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
-    """Validate a chain-restriction instance apart from its topology:
-    ``chain`` a nonempty chain of ``p``, and ``x`` a point outside it that
-    is comparable to none of it."""
-    if not chain:
-        raise PremiseFailedError("chain is empty")
-    kernels.check_mask(chain, p.n)
-    rows, cols = p.rows, p.cols
-    m = chain
-    while m:
-        a = (m & -m).bit_length() - 1
-        m &= m - 1
-        loose = chain & ~(rows[a] | cols[a])
-        if loose:
-            b = (loose & -loose).bit_length() - 1
-            raise PremiseFailedError(
-                "chain is not totally ordered", (p.elements[a], p.elements[b])
-            )
-    xi = p.index(x)
-    if chain >> xi & 1:
-        raise PremiseFailedError(f"{x!r} lies inside the chain")
-    touching = chain & (rows[xi] | cols[xi])
-    if touching:
-        c = (touching & -touching).bit_length() - 1
-        raise PremiseFailedError(
-            f"{x!r} is comparable to a chain element", (x, p.elements[c])
-        )
+    held = sum(failed[i] is not None for i in slots)
+    return len(pairs) * len(slots), len(pairs) * held, violations
 
 
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
-    ts, tu, ta = scott_topology(p), upper_topology(p), alexandrov_topology(p)
-    return _report("topology-coincidence", 1, 1, _topology_coincidence(p, ts, tu, ta), started)
+    inputs = _Inputs(p, tu=upper_topology(p), ta=alexandrov_topology(p))
+    return _run("topology-coincidence", started, inputs)
 
 
-def _topology_coincidence(
-    p: Preorder, ts: Topology, tu: Topology, ta: Topology
-) -> list[TheoremViolation]:
-    """Core of :func:`check_topology_coincidence`: the violations of its one
-    instance.  ``ts``, ``tu`` and ``ta`` are the Scott, upper and
-    Alexandrov topologies of ``p``."""
+def _topology_coincidence(inputs: _Inputs) -> _Answer:
+    """Step of topology-coincidence on its one instance, ``p``."""
+    p, ts, tu, ta = inputs.p, inputs.scott(), inputs.tu, inputs.ta
     violations = []
     if not is_finer(ts, tu).ok:
         violations.append(_violation("topology-coincidence", p, detail="upper not within scott"))
@@ -400,23 +356,35 @@ def _topology_coincidence(
             _violation("topology-coincidence", p,
                        detail="generators disagree at finite scale")
         )
-    return violations
+    return 1, 1, violations
 
 
-# One entry per theorem, in report order: whether its record needs a
-# topology, and how it replays the record (document, preorder p, topology
+class _Theorem(NamedTuple):
+    step: Callable  # decides one preorder's _Inputs: (checked, non_vacuous, violations)
+    needs_topology: bool
+    replay: Callable
+
+
+# One entry per theorem, in report order: its step; whether its record needs
+# a topology; and how it replays the record (document, preorder p, topology
 # t, params) through its public checker, looked up when it runs.
 _THEOREMS = {
-    "topology-coincidence": (False, lambda doc, p, t, params: check_topology_coincidence(p)),
-    "lsc-iff-upper": (True, lambda doc, p, t, params: check_lsc_iff_upper(p, t)),
-    "scott-necessity": (True, lambda doc, p, t, params: check_scott_necessity(p, t)),
-    "alexandrov-antitone": (False, lambda doc, p, t, params: check_alexandrov_antitone(
-        build_preorder(doc.elements, [tuple(ab) for ab in params["coarse_relation"]],
-                       autoclose=False), p)),
-    "linear-extensions-lsc": (True, lambda doc, p, t, params: check_linear_extensions_lsc(
-        p, t, params["samples"], params["seed"])),
-    "chain-restriction": (True, lambda doc, p, t, params: check_chain_restriction(
-        p, t, mask_of(p, params["chain"]), params["x"])),
+    "topology-coincidence": _Theorem(
+        _topology_coincidence, False, lambda doc, p, t, params: check_topology_coincidence(p)),
+    "lsc-iff-upper": _Theorem(
+        _lsc_iff_upper, True, lambda doc, p, t, params: check_lsc_iff_upper(p, t)),
+    "scott-necessity": _Theorem(
+        _scott_necessity, True, lambda doc, p, t, params: check_scott_necessity(p, t)),
+    "alexandrov-antitone": _Theorem(
+        _alexandrov_antitone, False, lambda doc, p, t, params: check_alexandrov_antitone(
+            build_preorder(doc.elements, [tuple(ab) for ab in params["coarse_relation"]],
+                           autoclose=False), p)),
+    "linear-extensions-lsc": _Theorem(
+        _linear_extensions_lsc, True, lambda doc, p, t, params: check_linear_extensions_lsc(
+            p, t, params["samples"], params["seed"])),
+    "chain-restriction": _Theorem(
+        _chain_restriction, True, lambda doc, p, t, params: check_chain_restriction(
+            p, t, mask_of(p, params["chain"]), params["x"])),
 }
 THEOREM_IDS = tuple(_THEOREMS)
 
@@ -429,10 +397,10 @@ def replay_violation(v: TheoremViolation) -> TheoremReport:
     """
     if v.theorem_id not in _THEOREMS:
         raise ValueError(f"unknown theorem id {v.theorem_id!r}")
-    needs_topology, replay = _THEOREMS[v.theorem_id]
+    theorem = _THEOREMS[v.theorem_id]
     doc = instances.parse_instance(v.instance)
     p = instances.document_preorder(doc)
     t = instances.document_topology(doc, p)
-    if needs_topology and t is None:
+    if theorem.needs_topology and t is None:
         raise ValueError(f"a {v.theorem_id!r} record needs a topology; its document has none")
-    return replay(doc, p, t, v.params)
+    return theorem.replay(doc, p, t, v.params)

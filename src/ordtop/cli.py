@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from ordtop import errors as err
 from ordtop import instances, theorems
@@ -59,8 +60,7 @@ def _emit(args, ok: bool, result: dict, witness: dict | None = None) -> int:
         }
         _write_json(envelope)
     else:
-        for line in _humanise(result):
-            print(line)
+        sys.stdout.writelines(_humanise(result))
         if witness is not None:
             print("witness instance (feed to `ordtop validate`):")
             _write_json(witness["instance"])
@@ -75,20 +75,24 @@ def _write_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _humanise(result: dict, indent: str = "") -> list[str]:
-    lines = []
+def _humanise(result: dict, indent: str = "") -> Iterator[str]:
+    """The text form of ``result``, a line at a time; an open listing's line
+    comes in batches, so its label lists are never held all at once."""
     for key, value in result.items():
         if isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.extend(_humanise(value, indent + "  "))
+            yield f"{indent}{key}:\n"
+            yield from _humanise(value, indent + "  ")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{indent}{key}:")
+            yield f"{indent}{key}:\n"
             for item in value:
-                lines.extend(_humanise(item, indent + "  "))
-                lines.append(f"{indent}  -")
+                yield from _humanise(item, indent + "  ")
+                yield f"{indent}  -\n"
+        elif isinstance(value, instances.OpenListing):
+            yield f"{indent}{key}: "
+            yield from value.text()
+            yield "\n"
         else:
-            lines.append(f"{indent}{key}: {value}")
-    return lines
+            yield f"{indent}{key}: {value}\n"
 
 
 def _contour_witness(inst: instances.Instance, element: str, contour: int, reason: str) -> dict:

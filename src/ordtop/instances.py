@@ -13,6 +13,7 @@ in the JSON text.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import partial
 from pathlib import Path
@@ -41,7 +42,7 @@ DOCUMENT_MODES = (*TOPOLOGY_MODES, "explicit")
 
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
-# Characters of encoded text that indented_json joins into one batch.
+# Characters of text that indented_json and OpenListing.text join into one batch.
 _JSON_BATCH = 4096
 
 
@@ -267,16 +268,18 @@ def serialize_instance(doc: InstanceDocument) -> str:
 
 
 def indented_json(obj: object) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2)``, in batches; the one indented writer.
+    """The text of ``json.dumps(obj, indent=2)``, in batches; the one indented writer."""
+    return _batches(json.JSONEncoder(indent=2).iterencode(obj))
 
-    The encoder's pieces are joined once they hold ``_JSON_BATCH``
+
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces``, each batch joined once it holds ``_JSON_BATCH``
     characters: holding every piece of a large listing at once costs
     megabytes, and writing them one by one costs a system call each when
-    stdout is unbuffered (``python -u``).
-    """
+    stdout is unbuffered (``python -u``)."""
     batch = []
     size = 0
-    for piece in json.JSONEncoder(indent=2).iterencode(obj):
+    for piece in pieces:
         batch.append(piece)
         size += len(piece)
         if size >= _JSON_BATCH:
@@ -298,7 +301,8 @@ class OpenListing(tuple):
     encoder writes each open's labels while only the masks are held.  Every
     other way in to the stored masks (indexing, membership, comparison,
     hashing, copying, pickling) raises :class:`TypeError`, so none is read
-    as if it were labels; ``repr`` is the list of label lists.
+    as if it were labels; ``repr`` is the list of label lists, and
+    :meth:`text` writes it in batches.
     """
 
     def __new__(cls, p: Preorder, masks: Iterable[int]) -> OpenListing:
@@ -310,7 +314,13 @@ class OpenListing(tuple):
         return map(partial(labels_of, self.p), tuple.__iter__(self))
 
     def __repr__(self) -> str:
-        return repr([list(labels) for labels in self])
+        return "".join(self.text())
+
+    def text(self) -> Iterator[str]:
+        """``repr(self)`` in batches, each open's label list built only when
+        its batch is."""
+        pieces = (f"{', ' if k else ''}{list(labels)!r}" for k, labels in enumerate(self))
+        return _batches(itertools.chain(("[",), pieces, ("]",)))
 
     __getitem__ = __contains__ = __hash__ = __reduce_ex__ = count = index = _read_by_iterating
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read_by_iterating

@@ -410,3 +410,23 @@ def _lsc_rp_rows(p: Preorder) -> list[list[int]]:
     raised = [v + scale for v in f]
     positions = range(p.n)
     return [[f[j] if below >> j & 1 else raised[j] for j in positions] for below in p.cols]
+
+
+def _scott_family(p: Preorder) -> tuple[list[list[int]], set[int], RepVerdict]:
+    """The family of :func:`construct_finite_lsc_rp_multiutility`, as the
+    scott-necessity theorem checks it: its members' sublevel sets, each
+    distinct one of those, and the family's Richter-Peleg verdict; all
+    depend on ``p`` alone."""
+    levels = [_key_level_sets(row) for row in _lsc_rp_rows(p)]
+    belows = [below for below, _ in levels]
+    return belows, {m for below in belows for m in below}, _rp_verdict(levels, p)
+
+
+def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tuple[int, int]]:
+    """Each member (given by its sublevel sets) that is not lsc in ``t``, with
+    its first non-closed position.  Each distinct sublevel set is decided
+    once; the members are searched only when one of those is not closed."""
+    if kernels.first_not_closed(t.rows, sublevels) < 0:
+        return []
+    firsts = [(k, kernels.first_not_closed(t.rows, below)) for k, below in enumerate(belows)]
+    return [(k, x) for k, x in firsts if x >= 0]

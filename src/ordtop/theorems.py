@@ -3,9 +3,9 @@
 :func:`run_theorem_suite` builds every labelled preorder up to
 :data:`SUITE_CAP` points by one-point extension and :func:`mine` draws
 seeded random ones; both hand each preorder's instances to one driver,
-which runs every theorem core of :mod:`ordtop.checkers`.  The public
-one-instance checkers, their reports and violation records are
-re-exported from there.
+which runs the step of every theorem in the table of
+:mod:`ordtop.checkers`.  The public one-instance checkers, their reports
+and violation records are re-exported from there.
 """
 
 from __future__ import annotations
@@ -14,25 +14,18 @@ import functools
 import itertools
 import random
 import time
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ordtop import kernels
 
-# The public checkers are re-exported; the private cores are what
-# _check_preorder runs.
+# The public checkers are re-exported; the table and the inputs class are
+# what _check_preorder runs.
 from ordtop.checkers import (
+    _THEOREMS,
     THEOREM_IDS,
     TheoremReport,
     TheoremViolation,
-    _alexandrov_antitone,
-    _chain_restriction,
-    _chain_violations,
-    _check_chain_and_outsider,
-    _linear_extensions_lsc,
-    _lsc_iff_upper,
-    _scott_family,
-    _scott_necessity,
-    _topology_coincidence,
+    _Inputs,
     check_alexandrov_antitone,
     check_chain_restriction,
     check_linear_extensions_lsc,
@@ -43,16 +36,13 @@ from ordtop.checkers import (
 )
 from ordtop.errors import TooLargeError
 from ordtop.preorders import Preorder, build_preorder
-from ordtop.representations import Sense, preorder_semicontinuity
 from ordtop.topologies import (
-    Topology,
     _preorder_rows,
     alexandrov_topology,
     discrete,
     indiscrete,
     is_finer,
     random_topology_between,
-    scott_topology,
     upper_topology,
 )
 
@@ -204,15 +194,8 @@ class _Tally:
         self.non_vacuous += non_vacuous
         self.violations += violations
 
-    def per_sample(self, slots: Sequence[int], held: Sequence[bool], found: Sequence[list]) -> None:
-        """Add one instance per sample topology, in sample order: ``slots[k]``
-        indexes the distinct topology of sample k in ``held`` (its premise)
-        and ``found`` (its violations)."""
-        for i in slots:
-            self.record(1, held[i], found[i])
-
     def charge(self, started: float) -> float:
-        """Add the time since ``started``; return now, to start the next block."""
+        """Add the time since ``started``; return now, to start the next step."""
         now = time.perf_counter()
         self.elapsed += now - started
         return now
@@ -272,8 +255,10 @@ def mine(seed: int, trials: int, max_size: int) -> SuiteReport:
         found = find_chain_and_outsider(p, rng)
         if found is None:
             tallies["chain-restriction"].record(1, 0, ())
-        pairs = [found] if found else []
-        started = _check_preorder(tallies, started, p, tu, ta, [t], fine, [case], 6, pairs)
+        inputs = _Inputs(p, sample_ts=[t], tu=tu, ta=ta, fine=fine,
+                         ta_fine=_preorder_rows(n, fine.rows), cases=[case], samples=6,
+                         pairs=[found] if found else [])
+        started = _check_preorder(tallies, started, inputs)
     return _finish(tallies)
 
 
@@ -281,12 +266,16 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
     """Exhaustive suite over all labelled preorders up to ``max_size``.
 
     Each preorder is paired with a spread of topologies (its own derived
-    ones, the two trivial ones, and seeded refinements) and run through
-    every theorem by :func:`_check_preorder`; chain-restriction instances
-    enumerate every chain plus incomparable outsider, and decide their
-    premise from the rows, so the only linear extensions enumerated are
-    the ``samples + 1`` that linear-extensions-lsc reads.  Sizes above
-    :data:`SUITE_CAP`, and below 1 (:class:`ValueError`), are refused first.
+    ones, the two trivial ones, and seeded refinements), and its instances
+    are drawn into one inputs record, which groups the topologies by their
+    rows once.  :func:`_check_preorder` runs every theorem's step on it,
+    the same step that the theorem's public ``check_*`` runs on one
+    instance, so counts and violations come in the order of one public
+    call per instance.  Chain-restriction instances enumerate every chain
+    plus incomparable outsider, and decide their premise from the rows, so
+    the only linear extensions enumerated are the ``samples + 1`` that
+    linear-extensions-lsc reads.  Sizes above :data:`SUITE_CAP`, and below
+    1 (:class:`ValueError`), are refused first.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -313,80 +302,26 @@ def run_theorem_suite(max_size: int = 4, seed: int = 0) -> SuiteReport:
             fine = random_refinement(rng, p)
             above = [ta, random_topology_between(ta, rng.randrange(1 << 30), 2)]
             cases = [(t, rng.randrange(1 << 30)) for t in above]
-            started = _check_preorder(
-                tallies, started, p, tu, ta, sample_ts, fine, cases, samples,
-                _chain_outsider_pairs(p),
-            )
+            inputs = _Inputs(p, sample_ts=sample_ts, tu=tu, ta=ta, fine=fine,
+                             ta_fine=_preorder_rows(n, fine.rows), cases=cases,
+                             samples=samples, pairs=_chain_outsider_pairs(p))
+            started = _check_preorder(tallies, started, inputs)
     return _finish(tallies)
 
 
-def _check_preorder(
-    tallies: dict[str, _Tally],
-    started: float,
-    p: Preorder,
-    tu: Topology,
-    ta: Topology,
-    sample_ts: Sequence[Topology],
-    fine: Preorder,
-    cases: Sequence[tuple[Topology, int]],
-    samples: int,
-    pairs: Iterable[tuple[int, str]],
-) -> float:
-    """Run every theorem core on the preorder ``p`` and add the answers to
-    ``tallies``; the one driver of :func:`run_theorem_suite` and
-    :func:`mine`.
+def _check_preorder(tallies: dict[str, _Tally], started: float, inputs: _Inputs) -> float:
+    """Run the step of every theorem of the table on one preorder's
+    ``inputs``, in report order, and add the answers to ``tallies``; the
+    one driver of :func:`run_theorem_suite` and :func:`mine`.
 
-    ``tu`` and ``ta`` are the upper and Alexandrov topologies of ``p``.
-    lsc-iff-upper and scott-necessity run in each of ``sample_ts``,
-    alexandrov-antitone on (p, ``fine``), linear-extensions-lsc on the
-    (topology, seed) ``cases`` with ``samples`` draws, and chain-restriction
-    on each validated (chain, outsider) of ``pairs`` in each of
-    ``sample_ts``.  The samples are grouped by rows once and each core runs
-    once per distinct one; its counts and violations then count once per
-    sample, in the order that one public ``check_*`` call per instance
-    gives them.  Each theorem is charged the time of its block, the first
-    block also the time since ``started``, which covers drawing the
-    inputs.  Returns the time the last block ended.
+    Each theorem is charged the time of its step, the first step also the
+    time since ``started``, which covers drawing the inputs.  Returns the
+    time the last step ended.
     """
-    # Equal rows mean equal topologies on one ground set: each core runs
-    # once per distinct sample, and slots[k] indexes sample k's.
-    index: dict[tuple[int, ...], int] = {}
-    slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
-    distinct = [sample_ts[slots.index(i)] for i in range(len(index))]
-    lsc = [preorder_semicontinuity(p, t, Sense.LOWER) for t in distinct]
-    found = [_lsc_iff_upper(p, t, sc, tu) for t, sc in zip(distinct, lsc)]
-    tallies["lsc-iff-upper"].per_sample(slots, [True] * len(distinct), found)
-    started = tallies["lsc-iff-upper"].charge(started)
-
-    ts = scott_topology(p)
-    tallies["topology-coincidence"].record(1, 1, _topology_coincidence(p, ts, tu, ta))
-    started = tallies["topology-coincidence"].charge(started)
-
-    # Only an instance whose premise holds reads the family.
-    family = _scott_family(p) if any(sc.ok for sc in lsc) else None
-    found = [_scott_necessity(p, t, sc, family, ts) for t, sc in zip(distinct, lsc)]
-    tallies["scott-necessity"].per_sample(slots, [sc.ok for sc in lsc], found)
-    started = tallies["scott-necessity"].charge(started)
-
-    violations = _alexandrov_antitone(p, fine, ta, _preorder_rows(p.n, fine.rows))
-    tallies["alexandrov-antitone"].record(1, 1, violations)
-    started = tallies["alexandrov-antitone"].charge(started)
-
-    checked, violations = _linear_extensions_lsc(p, cases, samples, ta)
-    tallies["linear-extensions-lsc"].record(checked, checked, violations)
-    started = tallies["linear-extensions-lsc"].charge(started)
-
-    pairs = list(pairs)
-    for chain, x in pairs:
-        _check_chain_and_outsider(p, chain, x)
-    chains = list(dict.fromkeys(chain for chain, _ in pairs))
-    failed = [_chain_restriction(p, t, chains, ta) for t in distinct]
-    decided = [(distinct[i], failed[i]) for i in slots]
-    held = sum(f is not None for _, f in decided)
-    tallies["chain-restriction"].record(
-        len(pairs) * len(slots), len(pairs) * held, _chain_violations(p, pairs, decided)
-    )
-    return tallies["chain-restriction"].charge(started)
+    for theorem_id, theorem in _THEOREMS.items():
+        tallies[theorem_id].record(*theorem.step(inputs))
+        started = tallies[theorem_id].charge(started)
+    return started
 
 
 def _chain_outsider_pairs(p: Preorder) -> Iterator[tuple[int, str]]:

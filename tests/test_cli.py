@@ -588,6 +588,29 @@ def test_open_listing_holds_masks_not_label_lists(monkeypatch, tmp_path):
     assert peak < 2_000_000, f"listing peak {peak} B"
 
 
+def test_text_open_listing_holds_masks_not_label_lists(monkeypatch, tmp_path):
+    # The text line ``opens: [...]`` is the repr of every label list.  Built
+    # whole, for 14 points (16,384 opens) it peaks near 3.6 MB; written in
+    # batches, as with --json, near 1 MB.  The output goes to a file, so it
+    # is not traced.
+    n = 14
+    out_path = tmp_path / "out.txt"
+    with out_path.open("w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            code = main(["topology", _antichain(tmp_path, n), "--topology", "discrete"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    labels = [f"e{i:02d}" for i in range(n)]
+    opens = [[x for i, x in enumerate(labels) if m >> i & 1] for m in range(1 << n)]
+    expected = f"mode: discrete\nground_size: {n}\nopen_count: {1 << n}\nopens: {opens}\n"
+    assert out_path.read_text(encoding="utf-8") == expected
+    assert peak < 2_000_000, f"listing peak {peak} B"
+
+
 def test_text_witness_lists_explicit_opens_by_label(capsys, tmp_path):
     # a < b < c in the topology {}, {a}, {a, b, c}: the contour {a} of a is
     # not closed, and the text witness lists the document's explicit opens.

@@ -24,7 +24,7 @@ import ordtop as ot
 from ordtop import instances, kernels
 from ordtop.errors import DomainMismatchError
 from ordtop.representations import ValueFunction
-from ordtop.theorems import TheoremReport, TheoremViolation
+from ordtop.theorems import THEOREM_IDS, TheoremReport, TheoremViolation
 from ordtop.topologies import FinerVerdict, Topology
 from tests.conftest import FIXTURES, fixture_text
 
@@ -195,6 +195,30 @@ def test_no_nested_function_calls_itself():
                 if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
                     found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_suite_driver_loops_over_the_table_of_theorems():
+    """A theorem lives in its step and public ``check_*`` and in its table
+    entry.  A theorem id named in ``theorems._check_preorder``, or a private
+    name of ``ordtop.checkers`` other than the table and the inputs class
+    that ``ordtop.theorems`` reads, would be a third place."""
+    tree = ast.parse((SRC / "ordtop" / "theorems.py").read_text(encoding="utf-8"))
+    driver = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_preorder"
+    )
+    named = [
+        node.value for node in ast.walk(driver)
+        if isinstance(node, ast.Constant) and node.value in THEOREM_IDS
+    ]
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ordtop.checkers":
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "checkers"
+              and node.attr.startswith("_")):
+            private.add(node.attr)
+    assert named == [] and private <= {"_THEOREMS", "_Inputs"}
 
 
 def test_checkers_are_imported_beneath_the_theorems_layer():

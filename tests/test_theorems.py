@@ -735,6 +735,58 @@ def test_linear_extensions_checker_refuses_fewer_than_one_sample(samples, monkey
         check_linear_extensions_lsc(antichain2, ot.discrete(2), samples, 0)
 
 
+def test_suite_miner_and_public_checker_run_the_table_step(monkeypatch, chain3):
+    # One step per theorem: replacing it in the table reaches all three callers.
+    theorem = checkers._THEOREMS["scott-necessity"]
+    suite_answers = _answers(theorems.run_theorem_suite(3, 0))
+    mine_answers = _answers(theorems.mine(0, 10, 4))
+    calls = []
+
+    def spy(inputs):
+        calls.append(inputs.p)
+        return theorem.step(inputs)
+
+    monkeypatch.setitem(checkers._THEOREMS, "scott-necessity", theorem._replace(step=spy))
+    assert _answers(theorems.run_theorem_suite(3, 0)) == suite_answers
+    assert calls == [p for n in range(1, 4) for p in all_preorders(default_labels(n))]
+    calls.clear()
+    assert _answers(theorems.mine(0, 10, 4)) == mine_answers
+    assert len(calls) == 10
+    calls.clear()
+    report = check_scott_necessity(chain3, ot.upper_topology(chain3))
+    assert calls == [chain3]
+    assert report.ok and (report.instances_checked, report.non_vacuous) == (1, 1)
+
+
+def test_shared_facts_are_built_once_and_only_when_read(monkeypatch, chain3):
+    def fail(p):
+        raise AssertionError("built")
+
+    with monkeypatch.context() as m:
+        m.setattr(checkers, "scott_topology", fail)
+        m.setattr(checkers, "_scott_family", fail)
+        for t in (ot.discrete(3), ot.indiscrete(3), ot.upper_topology(chain3)):
+            assert check_lsc_iff_upper(chain3, t).ok
+    # A verdict faked in the indiscrete topology fails for most preorders
+    # on 3 points, so some preorders have no sample whose premise holds.
+    real_verdict = checkers.preorder_semicontinuity
+    held, scotts, families = {}, [], []
+
+    def verdict(p, t, sense):
+        sc = real_verdict(p, t if p.n < 3 else ot.indiscrete(p.n), sense)
+        held[p] = held.get(p, False) or sc.ok
+        return sc
+
+    real_scott, real_family = checkers.scott_topology, checkers._scott_family
+    monkeypatch.setattr(checkers, "preorder_semicontinuity", verdict)
+    monkeypatch.setattr(checkers, "scott_topology", lambda p: scotts.append(p) or real_scott(p))
+    monkeypatch.setattr(checkers, "_scott_family", lambda p: families.append(p) or real_family(p))
+    theorems.run_theorem_suite(3, 0)
+    assert scotts == [p for n in range(1, 4) for p in all_preorders(default_labels(n))]
+    assert families == [p for p, ok in held.items() if ok]
+    assert 0 < len(families) < len(held) == len(scotts)
+
+
 def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
     # Every lsc check (of p, of its linear extensions, of the chain-restriction
     # premise) goes through the closedness kernel, decided per distinct t; a
