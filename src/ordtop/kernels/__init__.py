@@ -10,7 +10,7 @@ here once; their public functions wrap it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from ordtop.errors import OutOfBoundsError, TooLargeError
 
@@ -164,37 +164,54 @@ def count_up_sets(rows: Sequence[int], limit: int) -> int:
     """The number of up-sets of a preorder when it is at most ``limit``,
     else some number above ``limit``; none is listed.
 
-    Branches as :func:`up_sets` does, but first takes out each undecided
-    point that no other undecided point lies above or below: it can go
-    either way alone, so it doubles the count instead of the branches.
+    The counts of the connected parts multiply, 2 for a single point.  A
+    larger part branches as :func:`up_sets` does, on the point whose up-set
+    in it is nearest half of it, and sums the two rests' counts; each part
+    is counted once, and each sum or product stops once past its limit.
     """
-    n = len(rows)
-    full = (1 << n) - 1
-    cols = _columns(rows)
-    near = [r | c for r, c in zip(rows, cols)]
-    total = 0
-    stack = [(0, 0, 1)]
+    cols, known = _columns(rows), {}
+    stack, count = [_count_parts(rows, cols, known, (1 << len(rows)) - 1, limit)], None
     while stack:
-        inside, outside, weight = stack.pop()
-        undecided = full & ~(inside | outside)
-        m = undecided
-        while m:
-            low = m & -m
-            if near[low.bit_length() - 1] & undecided == low:
-                weight <<= 1
-                outside |= low
-                undecided ^= low
-            m ^= low
-        if not undecided:
-            total += weight
-            if total > limit:
-                return total
-            continue
-        bit = undecided & -undecided
-        x = bit.bit_length() - 1
-        stack.append((inside | rows[x] | bit, outside, weight))
-        stack.append((inside, outside | cols[x] | bit, weight))
-    return total
+        try:
+            stack.append(_count_parts(rows, cols, known, *stack[-1].send(count)))
+            count = None
+        except StopIteration as done:
+            stack.pop()
+            count = done.value
+    return count
+
+
+def _count_parts(
+    rows: Sequence[int], cols: list[int], known: dict[int, int], mask: int, limit: int
+) -> Generator[tuple[int, int], int, int]:
+    """The up-set count of the points of ``mask``, as a generator run by
+    :func:`count_up_sets`: it yields each (mask, limit) it needs counted,
+    in place of a recursive call, and is sent back the count."""
+    product = 1
+    while mask and product <= limit:
+        p = grow = mask & -mask
+        while grow:  # p grows to the connected part of mask's lowest point
+            i = (grow & -grow).bit_length() - 1
+            new = (rows[i] | cols[i]) & mask & ~p
+            p |= new
+            grow = grow & (grow - 1) | new
+        mask ^= p
+        if p & (p - 1) and p not in known:
+            size, m = p.bit_count(), p
+            gap = size + 1
+            while m:  # x: the point whose up-set in p is nearest half of p
+                i = (m & -m).bit_length() - 1
+                m &= m - 1
+                d = abs(2 * (rows[i] & p).bit_count() - size)
+                if d < gap:
+                    x, gap = i, d
+            share = limit // product
+            c = yield p & ~(rows[x] | 1 << x), share
+            if c <= share:
+                c += yield p & ~(cols[x] | 1 << x), share - c
+            known[p] = c  # a c past its share ends every count above it: never read again
+        product *= known.get(p, 2)
+    return product
 
 
 def _columns(rows: Sequence[int]) -> list[int]:

@@ -75,9 +75,8 @@ class Topology(_Record):
 
         2^n bounds the family, so only a ground set whose 2^n passes
         ``UP_SETS_CAP`` can pass it; such a family is refused from its
-        width, or from its up-sets counted part by part (an up-set of a
-        disjoint union is one up-set of each part, so the counts multiply),
-        before anything is listed.
+        width, at once, or else from its up-sets counted by
+        :func:`kernels.count_up_sets`, before anything is listed.
         """
         rows, cap = self.rows, kernels.UP_SETS_CAP
         if 1 << len(rows) > cap:
@@ -85,14 +84,9 @@ class Topology(_Record):
             if 1 << w > cap:
                 what = f"counting only the up-closures of a {w}-point antichain, the open family"
                 raise TooLargeError(cap, 1 << w, what)
-            parts = _components(rows)
-            count = 1
-            for k, part in enumerate(parts, 1):
-                part_rows = kernels.compact_rows(rows, part)
-                count *= kernels.count_up_sets(part_rows, cap // count)
-                if count > cap:
-                    what = f"counted so far, over {k} of its {len(parts)} parts, the open family"
-                    raise TooLargeError(cap, count, what)
+            count = kernels.count_up_sets(rows, cap)
+            if count > cap:
+                raise TooLargeError(cap, count, "counted until it passed the cap, the open family")
         return tuple(kernels.up_sets(rows))
 
     def is_open(self, mask: int) -> bool:
@@ -102,18 +96,6 @@ class Topology(_Record):
         except OutOfBoundsError:
             return False
         return kernels.first_escape(self.rows, mask) < 0
-
-
-def _components(rows: tuple[int, ...]) -> list[int]:
-    """The connected components of the preorder ``rows``, as masks: the
-    classes of the equivalence that each row's points generate."""
-    parts: list[int] = []
-    for r in rows:
-        for q in [q for q in parts if q & r]:
-            parts.remove(q)
-            r |= q
-        parts.append(r)
-    return parts
 
 
 def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:

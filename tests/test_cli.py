@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import ordtop
 from ordtop import checkers, cli, instances, kernels, theorems, topologies
 from ordtop.cli import main
+from ordtop.errors import TooLargeError
 from ordtop.preorders import labels_of
 from ordtop.representations import construct_finite_lsc_rp_multiutility
 from ordtop.theorems import all_preorders, default_labels
@@ -541,7 +543,11 @@ def test_open_listing_of_disjoint_parts_is_refused_from_their_counts(capsys, tmp
         tracemalloc.stop()
     assert code == 2
     error = json.loads(out)["error"]
-    assert "13 of its 20 parts" in error and f"capped at {kernels.UP_SETS_CAP}" in error
+    assert "counted until it passed the cap, the open family has " in error
+    assert f"capped at {kernels.UP_SETS_CAP}" in error
+    # the product stops within the 13th part (3^12 < 2^20 < 3^13), far short of 3^20
+    counted = int(error.split(" has ")[1].split()[0])
+    assert kernels.UP_SETS_CAP < counted <= 3**13
     assert elapsed < 0.1 and peak < 1_000_000
 
 
@@ -559,8 +565,51 @@ def test_open_listing_of_one_connected_part_is_refused_from_its_count(capsys, tm
         tracemalloc.stop()
     assert code == 2
     error = json.loads(out)["error"]
-    assert "1 of its 1 parts" in error and f"capped at {kernels.UP_SETS_CAP}" in error
+    assert "counted until it passed the cap, the open family has 1048577 elements" in error
+    assert f"capped at {kernels.UP_SETS_CAP}" in error
     assert peak < 1_000_000
+
+
+def chains_joined(k: int, length: int, top: bool) -> tuple[list[str], list[list[str]]]:
+    """k chains of ``length`` points, all above one root ``r`` or all below one top ``t``."""
+    chains = [[f"c{c}_{i}" for i in range(length)] for c in range(k)]
+    relation = [[a, b] for chain in chains for a, b in zip(chain, chain[1:])]
+    points = [x for chain in chains for x in chain]
+    if top:
+        return points + ["t"], relation + [[chain[-1], "t"] for chain in chains]
+    return ["r"] + points, relation + [["r", chain[0]] for chain in chains]
+
+
+@pytest.mark.parametrize(
+    "k, length, top",
+    [(7, 9, False), (4, 40, True), (3, 300, False)],
+    ids=["root-below-7-chains-of-9", "4-chains-of-40-below-a-top", "root-below-3-chains-of-300"],
+)
+def test_tree_like_open_listing_is_refused_from_its_count_at_once(capsys, tmp_path, k, length, top):
+    # Width k, so 2^k opens pass the width check; the preorder is one
+    # connected part, but it falls apart into its chains after one branch.
+    # (length + 1)^k + 1 up-sets, over the cap; the count multiplies the
+    # chains' counts at every branch instead of counting up-set by up-set.
+    labels, relation = chains_joined(k, length, top)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"elements": labels, "relation": relation}))
+    code, out = run_cli(capsys, "topology", str(path), "--topology", "alexandrov", "--json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "counted until it passed the cap" in error and f"capped at {kernels.UP_SETS_CAP}" in error
+    t = ordtop.alexandrov_topology(ordtop.build_preorder(labels, relation))
+    started = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        t.opens
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            t.opens
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1_000_000
 
 
 def test_open_listing_holds_masks_not_label_lists(monkeypatch, tmp_path):
@@ -629,3 +678,48 @@ def test_text_witness_lists_explicit_opens_by_label(capsys, tmp_path):
     witness = tmp_path / "witness.json"
     witness.write_text(json.dumps(instance))
     assert main(["check-lsc", str(witness)]) == 1
+
+
+# Largest traced memory while CPython compiles one ordtop module from
+# source during ``import ordtop.cli``: 1,997,833 B on CPython 3.11.7, with
+# instances.py compiled on top of the most live objects (checkers.py is
+# within 2 kB of it).  The margin, 0.1 MB, is less than the 0.12 MB that
+# growing checkers.py by 500 tokens added, which the per-module token
+# budget in test_records.py did not catch.
+COMPILE_PEAK_BUDGET = 2_100_000
+
+
+def test_import_compile_peak_stays_within_its_budget(tmp_path):
+    """A process run from source (no bytecode cache) compiles every module
+    it loads, and the module compiled on top of the most live objects sets
+    the import's memory peak; this bounds that peak itself."""
+    shutil.copytree(
+        Path(ordtop.__file__).parent, tmp_path / "ordtop",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    probe = (
+        "import importlib.machinery, json, tracemalloc\n"
+        "loader = importlib.machinery.SourceFileLoader\n"
+        "compile_source, peaks = loader.source_to_code, {}\n"
+        "def traced(self, data, path, *args, **kwargs):\n"
+        "    tracemalloc.reset_peak()\n"
+        "    code = compile_source(self, data, path, *args, **kwargs)\n"
+        "    peaks[path] = tracemalloc.get_traced_memory()[1]\n"
+        "    return code\n"
+        "loader.source_to_code = traced\n"
+        "tracemalloc.start()\n"
+        "import ordtop.cli\n"
+        "print(json.dumps(peaks))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    peaks = {
+        Path(path).relative_to(tmp_path).as_posix(): peak
+        for path, peak in json.loads(proc.stdout).items()
+        if Path(path).is_relative_to(tmp_path)
+    }
+    assert "ordtop/cli.py" in peaks and "ordtop/kernels/__init__.py" in peaks
+    assert max(peaks.values()) < COMPILE_PEAK_BUDGET, peaks

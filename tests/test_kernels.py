@@ -1,6 +1,7 @@
 """Kernel correctness against naive oracles."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ordtop import kernels
 from ordtop.errors import TooLargeError
 from ordtop.representations import _key_level_sets
+from ordtop.theorems import _preorder_levels
 from ordtop.topologies import SCOTT_CAP
 from tests.test_preorders import preorders
 
@@ -107,8 +109,9 @@ def test_up_sets_stop_as_soon_as_the_listing_passes_the_cap(monkeypatch):
 
 def test_up_set_count_matches_pair_scan_and_stops_past_its_limit():
     rng = random.Random(17)
-    for _ in range(60):
-        rows = random_relation(rng, rng.randint(1, 7))
+    every = [list(rows) for level in _preorder_levels(4) for rows in level]
+    assert len(every) == 389
+    for rows in every + [random_relation(rng, rng.randint(1, 7)) for _ in range(60)]:
         exact = len(brute_up_sets(rows))
         assert kernels.count_up_sets(rows, exact) == exact
         for limit in range(exact):
@@ -122,6 +125,40 @@ def test_up_set_count_matches_pair_scan_and_stops_past_its_limit():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def root_below_chains(k: int, length: int) -> list[int]:
+    """Rows of one point (0) below k disjoint chains of ``length`` points."""
+    n = 1 + k * length
+    rows = [(1 << n) - 1]
+    for c in range(k):
+        for i in range(length):
+            rows.append(sum(1 << (1 + c * length + j) for j in range(i, length)))
+    return rows
+
+
+def test_up_set_count_multiplies_the_parts_left_by_each_branch():
+    # Out of every up-set the root is either in (one up-set: all) or out,
+    # and then the chains are free: (length + 1)^k + 1.  Counted up-set by
+    # up-set, 7 chains of 9 alone would take seconds.
+    started = time.perf_counter()
+    for k, length in [(1, 1), (2, 3), (3, 5), (7, 9), (3, 100)]:
+        rows = root_below_chains(k, length)
+        exact = (length + 1) ** k + 1
+        assert kernels.count_up_sets(rows, exact) == exact
+        assert kernels.count_up_sets(rows, exact - 1) > exact - 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_up_set_count_runs_on_an_explicit_stack():
+    # A 1,200-point chain; and one point below 1,200 others, which each
+    # branch takes apart one point at a time, 1,200 counts deep: past the
+    # interpreter's recursion limit, were the count recursive.
+    n = 1200
+    chain = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
+    assert kernels.count_up_sets(chain, kernels.UP_SETS_CAP) == n + 1
+    star = root_below_chains(n, 1)
+    assert kernels.count_up_sets(star, 1 << (n + 1)) == (1 << n) + 1
 
 
 def brute_directed_sup(leq: list[list[bool]], d: int) -> tuple[bool, int | None]:

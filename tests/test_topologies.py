@@ -419,10 +419,10 @@ def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
     # On 4 points 2^4 passes the cap, so nothing is listed before the family fits.
     monkeypatch.setattr(kernels, "up_sets", lambda rows: pytest.fail("listed"))
     # a point below three others: connected and of width 3, but 9 up-sets, counted
-    with pytest.raises(TooLargeError, match="1 of its 1 parts"):
+    with pytest.raises(TooLargeError, match="counted until it passed the cap.* has 9 elements"):
         Topology(4, (0b1111, 0b0010, 0b0100, 0b1000)).opens
     # two disjoint 2-chains: width 2, but 3 * 3 up-sets, counted part by part
-    with pytest.raises(TooLargeError, match="2 of its 2 parts"):
+    with pytest.raises(TooLargeError, match="counted until it passed the cap.* has 9 elements"):
         Topology(4, (0b0011, 0b0010, 0b1100, 0b1000)).opens
     # width 4: its antichain alone has 16 up-closures
     with pytest.raises(TooLargeError, match="4-point antichain"):
