@@ -13,10 +13,11 @@ the suite drivers in :mod:`ordtop.theorems` run it.
 from __future__ import annotations
 
 import time
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from ordtop import instances, kernels
 from ordtop.errors import GroundMismatchError, PremiseFailedError, RefinementViolatedError
+from ordtop.inputs import _Inputs
 from ordtop.preorders import (
     Preorder,
     _check_chain_and_outsider,
@@ -27,21 +28,13 @@ from ordtop.preorders import (
     mask_of,
     quotient,
 )
-from ordtop.representations import (
-    PreorderScVerdict,
-    RepVerdict,
-    Sense,
-    _members_not_lsc,
-    _scott_family,
-    preorder_semicontinuity,
-)
+from ordtop.representations import _members_not_lsc
 from ordtop.topologies import (
     Topology,
     _chain_refines_alexandrov,
     alexandrov_topology,
     is_closed,
     is_finer,
-    scott_topology,
     upper_topology,
 )
 
@@ -69,55 +62,6 @@ class TheoremReport(NamedTuple):
 
 
 _Answer = tuple[int, int, list[TheoremViolation]]  # (checked, non_vacuous, violations)
-
-
-class _Inputs:
-    """The instances of one preorder ``p`` that the steps decide, and the
-    facts that several steps share, each computed on first use.
-
-    The ``sample_ts`` are grouped by rows once (equal rows mean equal
-    topologies on one ground set): ``distinct`` holds each one once and
-    ``slots[k]`` indexes sample k's.  ``tu`` and ``ta`` are the upper and
-    Alexandrov topologies of ``p``, ``fine`` refines ``p`` and ``ta_fine``
-    is its Alexandrov topology, ``cases`` are (topology, seed) pairs that
-    each draw ``samples`` linear extensions, and ``pairs`` are (chain,
-    outsider) pairs.  A step reads only what its theorem needs.
-    """
-
-    __slots__ = ("p", "slots", "distinct", "tu", "ta", "fine", "ta_fine", "cases", "samples",
-                 "pairs", "_lsc", "_scott", "_family")
-
-    def __init__(self, p: Preorder, *, sample_ts=(), tu=None, ta=None, fine=None, ta_fine=None,
-                 cases=(), samples=0, pairs=()) -> None:
-        index: dict[tuple[int, ...], int] = {}
-        self.slots = [index.setdefault(t.rows, len(index)) for t in sample_ts]
-        self.distinct = [sample_ts[self.slots.index(i)] for i in range(len(index))]
-        self.p, self.tu, self.ta, self.fine, self.ta_fine = p, tu, ta, fine, ta_fine
-        self.cases, self.samples, self.pairs = cases, samples, list(pairs)
-        self._lsc = self._scott = self._family = None
-
-    def lsc(self) -> list[PreorderScVerdict]:
-        """The lower semicontinuity verdict of ``p`` in each distinct sample."""
-        if self._lsc is None:
-            self._lsc = [preorder_semicontinuity(self.p, t, Sense.LOWER) for t in self.distinct]
-        return self._lsc
-
-    def scott(self) -> Topology:
-        if self._scott is None:
-            self._scott = scott_topology(self.p)
-        return self._scott
-
-    def family(self) -> tuple[list[list[int]], set[int], RepVerdict]:
-        if self._family is None:
-            self._family = _scott_family(self.p)
-        return self._family
-
-
-def _per_sample(inputs: _Inputs, held: Sequence[bool], found: Sequence[list]) -> _Answer:
-    """One instance per sample topology, in sample order, given the premise
-    ``held`` and the violations ``found`` in each distinct one."""
-    slots = inputs.slots
-    return len(slots), sum(held[i] for i in slots), [v for i in slots for v in found[i]]
 
 
 def _run(theorem_id: str, started: float, inputs: _Inputs) -> TheoremReport:
@@ -151,7 +95,7 @@ def _lsc_iff_upper(inputs: _Inputs) -> _Answer:
         rhs = is_finer(t, inputs.tu).ok
         found.append([] if sc.ok == rhs else [_violation(
             "lsc-iff-upper", p, t, detail=f"semicontinuity={sc.ok} but upper-refinement={rhs}")])
-    return _per_sample(inputs, [True] * len(found), found)
+    return inputs.per_sample([True] * len(found), found)
 
 
 def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
@@ -186,7 +130,7 @@ def _scott_necessity(inputs: _Inputs) -> _Answer:
             if not fin.ok:
                 details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
         found.append([_violation("scott-necessity", p, t, detail=d) for d in details])
-    return _per_sample(inputs, [sc.ok for sc in lsc], found)
+    return inputs.per_sample([sc.ok for sc in lsc], found)
 
 
 def check_alexandrov_antitone(p_coarse: Preorder, p_fine: Preorder) -> TheoremReport:

@@ -1,4 +1,4 @@
-"""Instance documents: the JSON file format, parsing, and exporters.
+"""Instance documents: the JSON file format, parsing and serialisation.
 
 A document carries a ground set, relation pairs, an optional topology
 (either a mode name or an explicit open family), and optional named
@@ -17,38 +17,30 @@ import itertools
 import json
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ordtop import errors as err
-from ordtop import kernels, topologies
-from ordtop.preorders import Preorder, build_preorder, labels_of, mask_of, quotient
+from ordtop import kernels
+
+# The mode tables, the topology record and DOT export are re-exported.
+from ordtop.fields import (
+    DOCUMENT_MODES,
+    TOPOLOGY_MODES,
+    TopologySpec,
+    _parse_functions,
+    _parse_topology,
+)
+from ordtop.preorders import Preorder, build_preorder, export_dot, labels_of, mask_of
 from ordtop.representations import FunctionFamily, ValueFunction
 from ordtop.topologies import Topology
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# The one table of mode names, each with its topology of a preorder.  A builder
-# looks its function up when it runs, so a name rebound in topologies is seen.
-TOPOLOGY_MODES: dict[str, Callable[[Preorder], Topology]] = {
-    "upper": lambda p: topologies.upper_topology(p),
-    "alexandrov": lambda p: topologies.alexandrov_topology(p),
-    "scott": lambda p: topologies.scott_topology(p),
-    "order": lambda p: topologies.order_topology(p),
-    "discrete": lambda p: topologies.discrete(p.n),
-    "indiscrete": lambda p: topologies.indiscrete(p.n),
-}
-DOCUMENT_MODES = (*TOPOLOGY_MODES, "explicit")
-
 _DOC_FIELDS = ("elements", "relation", "autoclose", "topology", "functions")
 
 # Characters of text that indented_json and OpenListing.text join into one batch.
 _JSON_BATCH = 4096
-
-
-class TopologySpec(NamedTuple):
-    mode: str
-    explicit: Topology | None = None
 
 
 class InstanceDocument(NamedTuple):
@@ -159,82 +151,6 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
         topology=spec,
         functions=functions,
     )
-
-
-def _parse_topology(raw: object, p: Preorder) -> TopologySpec:
-    from ordtop.jsonread import Opens
-
-    if not isinstance(raw, dict):
-        raise err.InstanceValidationError("topology", "must be an object")
-    for key in raw:
-        if key not in ("mode", "opens"):
-            raise err.InstanceValidationError(f"topology.{key}", "unknown field")
-    mode = raw.get("mode")
-    if mode not in DOCUMENT_MODES:
-        raise err.InstanceValidationError(
-            "topology.mode", f"must be one of {', '.join(DOCUMENT_MODES)}"
-        )
-    opens = raw.get("opens")
-    if mode != "explicit":
-        if opens is not None:
-            raise err.InstanceValidationError(
-                "topology.opens", "only valid when mode is explicit"
-            )
-        return TopologySpec(mode)
-    if not isinstance(opens, Opens):
-        raise err.InstanceValidationError("topology.opens", "must be a list of label lists")
-    if isinstance(opens.masks, err.InstanceValidationError):
-        raise opens.masks
-    try:
-        return TopologySpec("explicit", topologies.from_opens(p.n, opens.masks))
-    except err.NotATopologyError as exc:
-        raise err.InstanceValidationError("topology.opens", exc.reason) from None
-
-
-def _parse_functions(
-    raw: object, p: Preorder
-) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
-    if not isinstance(raw, dict):
-        raise err.InstanceValidationError("functions", "must be an object")
-    from fractions import Fraction  # deferred: see representations._integer_function
-
-    out = []
-    for name in sorted(raw):
-        table = raw[name]
-        if not isinstance(table, dict):
-            raise err.InstanceValidationError(f"functions.{name}", "must be an object")
-        values = []
-        known = set(p.elements)
-        for x in p.elements:
-            if x not in table:
-                raise err.InstanceValidationError(
-                    f"functions.{name}", f"missing value for {x!r}"
-                )
-        for x in table:
-            if x not in known:
-                raise err.InstanceValidationError(
-                    f"functions.{name}", f"value for unknown element {x!r}"
-                )
-        for x in p.elements:
-            v = table[x]
-            if not isinstance(v, str):
-                raise err.InstanceValidationError(
-                    f"functions.{name}.{x}", 'rationals are written as "p/q" strings'
-                )
-            # Fraction would expand an exponent into an integer of that many
-            # digits, so "1e10000000" alone would take seconds to parse.
-            if "e" in v or "E" in v:
-                raise err.InstanceValidationError(
-                    f"functions.{name}.{x}", f"exponents are not accepted: {v!r}"
-                )
-            try:
-                values.append(Fraction(v))
-            except (ValueError, ZeroDivisionError):
-                raise err.InstanceValidationError(
-                    f"functions.{name}.{x}", f"not a rational: {v!r}"
-                ) from None
-        out.append((name, tuple(values)))
-    return tuple(out)
 
 
 def function_payload(elements: Sequence[str], values: Iterable[object]) -> dict[str, str]:
@@ -421,34 +337,3 @@ def document_family(doc: InstanceDocument) -> FunctionFamily | None:
     if not funcs:
         return None
     return FunctionFamily(tuple(funcs[name] for name in sorted(funcs)))
-
-
-def export_dot(p: Preorder) -> str:
-    """Hasse diagram of the quotient as a DOT digraph.
-
-    Equivalence classes collapse to one node whose id joins the sorted
-    member labels with commas; edges are the covering pairs.  Ids are
-    quoted, with backslashes and double quotes escaped.
-    """
-    q = quotient(p).order
-    ids, rows, cols = q.elements, q.rows, q.cols
-    # A cover of i is a minimal point j of the set strictly above i.
-    covers = [
-        (ids[i], ids[j])
-        for i in range(q.n)
-        for j in range(q.n)
-        if rows[i] & ~cols[i] & cols[j] == 1 << j
-    ]
-    lines = ["digraph preorder {", "  rankdir=BT;"]
-    for node in sorted(ids):
-        lines.append(f"  {_dot_id(node)};")
-    for src, dst in sorted(covers):
-        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_id(label: str) -> str:
-    """``label`` as a quoted DOT id."""
-    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'

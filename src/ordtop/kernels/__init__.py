@@ -165,15 +165,18 @@ def count_up_sets(rows: Sequence[int], limit: int) -> int:
     else some number above ``limit``; none is listed.
 
     The counts of the connected parts multiply, 2 for a single point.  A
-    larger part branches as :func:`up_sets` does, on the point whose up-set
-    in it is nearest half of it, and sums the two rests' counts; each part
-    is counted once, and each sum or product stops once past its limit.
+    larger part branches as :func:`up_sets` does, on a point comparable with
+    the most of it (of those, the one whose up-set in it is nearest half of
+    it), and sums the two rests' counts; each part is counted once, and each
+    sum or product stops once past its limit.  A point below or above all
+    of a part takes the part apart at once.
     """
     cols, known = _columns(rows), {}
-    stack, count = [_count_parts(rows, cols, known, (1 << len(rows)) - 1, limit)], None
+    near = [r | c for r, c in zip(rows, cols)]  # the points comparable with each
+    stack, count = [_count_parts(rows, cols, near, known, (1 << len(rows)) - 1, limit)], None
     while stack:
         try:
-            stack.append(_count_parts(rows, cols, known, *stack[-1].send(count)))
+            stack.append(_count_parts(rows, cols, near, known, *stack[-1].send(count)))
             count = None
         except StopIteration as done:
             stack.pop()
@@ -182,7 +185,8 @@ def count_up_sets(rows: Sequence[int], limit: int) -> int:
 
 
 def _count_parts(
-    rows: Sequence[int], cols: list[int], known: dict[int, int], mask: int, limit: int
+    rows: Sequence[int], cols: list[int], near: list[int], known: dict[int, int], mask: int,
+    limit: int,
 ) -> Generator[tuple[int, int], int, int]:
     """The up-set count of the points of ``mask``, as a generator run by
     :func:`count_up_sets`: it yields each (mask, limit) it needs counted,
@@ -192,19 +196,23 @@ def _count_parts(
         p = grow = mask & -mask
         while grow:  # p grows to the connected part of mask's lowest point
             i = (grow & -grow).bit_length() - 1
-            new = (rows[i] | cols[i]) & mask & ~p
+            new = near[i] & mask & ~p
             p |= new
             grow = grow & (grow - 1) | new
         mask ^= p
         if p & (p - 1) and p not in known:
             size, m = p.bit_count(), p
-            gap = size + 1
-            while m:  # x: the point whose up-set in p is nearest half of p
+            best = -1
+            # x: a point comparable with the most points of p, which both
+            # branches take out with it; of those, the one whose up-set in p
+            # is nearest half of p (a gap of at most size).
+            while m:
                 i = (m & -m).bit_length() - 1
                 m &= m - 1
-                d = abs(2 * (rows[i] & p).bit_count() - size)
-                if d < gap:
-                    x, gap = i, d
+                reach = (near[i] & p).bit_count()
+                score = reach * (size + 1) - abs(2 * (rows[i] & p).bit_count() - size)
+                if score > best:
+                    x, best = i, score
             share = limit // product
             c = yield p & ~(rows[x] | 1 << x), share
             if c <= share:

@@ -300,6 +300,37 @@ def quotient(p: Preorder) -> Quotient:
     return Quotient(Preorder(labels, rows), class_of, tuple(class_masks))
 
 
+def export_dot(p: Preorder) -> str:
+    """Hasse diagram of the quotient as a DOT digraph.
+
+    Equivalence classes collapse to one node whose id joins the sorted
+    member labels with commas; edges are the covering pairs.  Ids are
+    quoted, with backslashes and double quotes escaped.
+    """
+    q = quotient(p).order
+    ids, rows, cols = q.elements, q.rows, q.cols
+    # A cover of i is a minimal point j of the set strictly above i.
+    covers = [
+        (ids[i], ids[j])
+        for i in range(q.n)
+        for j in range(q.n)
+        if rows[i] & ~cols[i] & cols[j] == 1 << j
+    ]
+    lines = ["digraph preorder {", "  rankdir=BT;"]
+    for node in sorted(ids):
+        lines.append(f"  {_dot_id(node)};")
+    for src, dst in sorted(covers):
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_id(label: str) -> str:
+    """``label`` as a quoted DOT id."""
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 class WidthResult(NamedTuple):
     size: int
     antichain: int

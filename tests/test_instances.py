@@ -33,6 +33,7 @@ from ordtop.instances import (
     resolve_topology_mode,
     serialize_instance,
 )
+from ordtop.preorders import _dot_id
 from ordtop.theorems import all_preorders, default_labels
 from tests.conftest import FIXTURES, fixture_text
 from tests.test_preorders import preorders
@@ -378,9 +379,9 @@ def _oracle_export_dot(p):
                 covers.append((ids[i], ids[j]))
     lines = ["digraph preorder {", "  rankdir=BT;"]
     for node in sorted(ids):
-        lines.append(f"  {instances._dot_id(node)};")
+        lines.append(f"  {_dot_id(node)};")
     for src, dst in sorted(covers):
-        lines.append(f"  {instances._dot_id(src)} -> {instances._dot_id(dst)};")
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

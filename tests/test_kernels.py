@@ -1,6 +1,7 @@
 """Kernel correctness against naive oracles."""
 
 import random
+import sys
 import time
 import tracemalloc
 
@@ -16,11 +17,13 @@ from ordtop.topologies import SCOTT_CAP
 from tests.test_preorders import preorders
 
 
-def random_relation(rng: random.Random, n: int, closed: bool = True) -> list[int]:
+def random_relation(
+    rng: random.Random, n: int, closed: bool = True, density: float = 0.3
+) -> list[int]:
     rows = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < 0.3:
+            if i != j and rng.random() < density:
                 rows[i] |= 1 << j
     return kernels.transitive_closure(rows) if closed else rows
 
@@ -116,6 +119,12 @@ def test_up_set_count_matches_pair_scan_and_stops_past_its_limit():
         assert kernels.count_up_sets(rows, exact) == exact
         for limit in range(exact):
             assert kernels.count_up_sets(rows, limit) > limit
+    # 6-14 points, from dense (one or two classes) to sparse (many parts)
+    for _ in range(100):
+        rows = random_relation(rng, rng.randint(6, 14), density=rng.choice((0.05, 0.1, 0.2, 0.3)))
+        exact = len(kernels.up_sets(rows))
+        assert kernels.count_up_sets(rows, exact) == exact
+        assert kernels.count_up_sets(rows, exact - 1) > exact - 1
     # a point below 20 others: 2^20 + 1 up-sets, counted without a listing
     below = [(1 << 21) - 1] + [1 << i for i in range(1, 21)]
     tracemalloc.start()
@@ -151,14 +160,33 @@ def test_up_set_count_multiplies_the_parts_left_by_each_branch():
 
 
 def test_up_set_count_runs_on_an_explicit_stack():
-    # A 1,200-point chain; and one point below 1,200 others, which each
-    # branch takes apart one point at a time, 1,200 counts deep: past the
-    # interpreter's recursion limit, were the count recursive.
+    # A 1,200-point chain; and one point below 1,200 others, which the
+    # count branches on first: both branches leave only single points.
     n = 1200
     chain = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
     assert kernels.count_up_sets(chain, kernels.UP_SETS_CAP) == n + 1
     star = root_below_chains(n, 1)
+    started = time.perf_counter()
     assert kernels.count_up_sets(star, 1 << (n + 1)) == (1 << n) + 1
+    assert time.perf_counter() - started < 0.1
+    # Each of 150 points below all of 150 others: every branch takes one
+    # lower point out and leaves the rest one part, 150 counts deep, past a
+    # recursion limit 100 frames above this one, were the count recursive.
+    # Its up-sets: any set of upper points, or a nonempty set of lower
+    # points with every upper one.
+    a = 150
+    uppers = ((1 << 2 * a) - 1) ^ ((1 << a) - 1)
+    rows = [uppers | 1 << i for i in range(a)] + [1 << (a + j) for j in range(a)]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    recursion_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        count = kernels.count_up_sets(rows, 1 << (2 * a))
+    finally:
+        sys.setrecursionlimit(recursion_limit)
+    assert count == (1 << a) + (1 << a) - 1
 
 
 def brute_directed_sup(leq: list[list[bool]], d: int) -> tuple[bool, int | None]:

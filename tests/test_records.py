@@ -221,7 +221,18 @@ def test_suite_driver_loops_over_the_table_of_theorems():
     assert named == [] and private <= {"_THEOREMS", "_Inputs"}
 
 
-def test_checkers_are_imported_beneath_the_theorems_layer():
+# Each ordtop module that ``import ordtop.cli`` loads and that is not a
+# layer, with the layer it is imported beneath.
+BENEATH = {
+    "ordtop.errors": "ordtop.kernels",
+    "ordtop.fields": "ordtop.instances",
+    "ordtop.checkers": "ordtop.theorems",
+    "ordtop.inputs": "ordtop.theorems",
+}
+
+
+@pytest.mark.parametrize("module, layer", BENEATH.items())
+def test_each_module_is_imported_beneath_its_layer(module, layer):
     # A per-layer import report (``-X importtime``) charges a module to the
     # layer that first imported it, so the checkers count as theorems time.
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -237,7 +248,8 @@ def test_checkers_are_imported_beneath_the_theorems_layer():
         for name in (line.rsplit("|", 1)[1] for line in proc.stderr.splitlines())
     ]
     names = [name for _, name in rows]
-    i, j = names.index("ordtop.checkers"), names.index("ordtop.theorems")
+    assert {name for name in names if name.startswith("ordtop.")} == {*LAYERS, *BENEATH}
+    i, j = names.index(module), names.index(layer)
     assert i < j and all(indent > rows[j][0] for indent, _ in rows[i:j])
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ordtop as ot
-from ordtop import checkers, instances, kernels, representations, theorems
+from ordtop import checkers, inputs, instances, kernels, representations, theorems
 from ordtop.errors import (
     DuplicateLabelError,
     EmptyUniverseError,
@@ -763,13 +763,13 @@ def test_shared_facts_are_built_once_and_only_when_read(monkeypatch, chain3):
         raise AssertionError("built")
 
     with monkeypatch.context() as m:
-        m.setattr(checkers, "scott_topology", fail)
-        m.setattr(checkers, "_scott_family", fail)
+        m.setattr(inputs, "scott_topology", fail)
+        m.setattr(inputs, "_scott_family", fail)
         for t in (ot.discrete(3), ot.indiscrete(3), ot.upper_topology(chain3)):
             assert check_lsc_iff_upper(chain3, t).ok
     # A verdict faked in the indiscrete topology fails for most preorders
     # on 3 points, so some preorders have no sample whose premise holds.
-    real_verdict = checkers.preorder_semicontinuity
+    real_verdict = inputs.preorder_semicontinuity
     held, scotts, families = {}, [], []
 
     def verdict(p, t, sense):
@@ -777,10 +777,10 @@ def test_shared_facts_are_built_once_and_only_when_read(monkeypatch, chain3):
         held[p] = held.get(p, False) or sc.ok
         return sc
 
-    real_scott, real_family = checkers.scott_topology, checkers._scott_family
-    monkeypatch.setattr(checkers, "preorder_semicontinuity", verdict)
-    monkeypatch.setattr(checkers, "scott_topology", lambda p: scotts.append(p) or real_scott(p))
-    monkeypatch.setattr(checkers, "_scott_family", lambda p: families.append(p) or real_family(p))
+    real_scott, real_family = inputs.scott_topology, inputs._scott_family
+    monkeypatch.setattr(inputs, "preorder_semicontinuity", verdict)
+    monkeypatch.setattr(inputs, "scott_topology", lambda p: scotts.append(p) or real_scott(p))
+    monkeypatch.setattr(inputs, "_scott_family", lambda p: families.append(p) or real_family(p))
     theorems.run_theorem_suite(3, 0)
     assert scotts == [p for n in range(1, 4) for p in all_preorders(default_labels(n))]
     assert families == [p for p, ok in held.items() if ok]
@@ -883,7 +883,7 @@ def test_mask_cores_match_object_route():
             ]
             exts = ot.enumerate_linear_extensions(p, 1000)
             ta = ot.alexandrov_topology(p)
-            belows, sublevels, _ = checkers._scott_family(p)
+            belows, sublevels, _ = representations._scott_family(p)
             members = [
                 representations.ValueFunction(p.elements, tuple(Fraction(v) for v in row))
                 for row in representations._lsc_rp_rows(p)
