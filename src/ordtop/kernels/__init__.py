@@ -203,9 +203,10 @@ def _count_parts(
         if p & (p - 1) and p not in known:
             size, m = p.bit_count(), p
             best = -1
-            # x: a point comparable with the most points of p, which both
-            # branches take out with it; of those, the one whose up-set in p
-            # is nearest half of p (a gap of at most size).
+            # x: a point comparable with the most points of p (one branch
+            # takes those above it out, the other those below); of those,
+            # the one whose up-set in p is nearest half of p.  That gap is
+            # at most size, so the reach decides first.
             while m:
                 i = (m & -m).bit_length() - 1
                 m &= m - 1
