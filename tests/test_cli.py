@@ -681,11 +681,11 @@ def test_text_witness_lists_explicit_opens_by_label(capsys, tmp_path):
 
 
 # Largest traced memory while CPython compiles one ordtop module from
-# source during ``import ordtop.cli``: 1,525,029 B on CPython 3.11.7, with
-# checkers.py compiled on top of the most live objects.  The margin, 75 kB,
+# source during ``import ordtop.cli``: 1,525,537 B on CPython 3.11.7, with
+# checkers.py compiled on top of the most live objects.  The margin, 0.1 MB,
 # is less than the 0.12 MB that growing checkers.py by 500 tokens added,
 # which the per-module token budget in test_records.py did not catch.
-COMPILE_PEAK_BUDGET = 1_600_000
+COMPILE_PEAK_BUDGET = 1_625_000
 
 
 def test_import_compile_peak_stays_within_its_budget(tmp_path):
