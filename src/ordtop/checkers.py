@@ -6,8 +6,12 @@ inputs of its one instance and runs the step.  A check either passes,
 passes vacuously (its premise failed, which the report makes explicit
 through ``non_vacuous``), or emits a replayable violation carrying a
 serialised instance document.  Violations should never occur; any one of
-them is a bug certificate.  The table of theorems names each step, and
-the suite drivers in :mod:`ordtop.theorems` run it.
+them is a bug certificate.  The steps live in one module per theorem
+family, the lower-semicontinuity steps in :mod:`ordtop.lsc_steps` and the
+topology steps in :mod:`ordtop.topology_steps`; the table of theorems
+here names each step, and the suite drivers in :mod:`ordtop.theorems`
+run it.  The violation records and the inputs class come from
+:mod:`ordtop.inputs` and are re-exported.
 """
 
 from __future__ import annotations
@@ -15,34 +19,19 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple
 
-from ordtop import instances, kernels
-from ordtop.errors import GroundMismatchError, PremiseFailedError, RefinementViolatedError
-from ordtop.inputs import _Inputs
-from ordtop.preorders import (
-    Preorder,
-    _check_chain_and_outsider,
-    _szpilrajn_class_order,
-    build_preorder,
-    enumerate_linear_extensions,
-    labels_of,
-    mask_of,
-    quotient,
+from ordtop import instances
+from ordtop.errors import GroundMismatchError
+# The violation record and its builder are re-exported with the inputs class.
+from ordtop.inputs import TheoremViolation, _Inputs, _violation
+from ordtop.lsc_steps import (
+    _chain_restriction,
+    _linear_extensions_lsc,
+    _lsc_iff_upper,
+    _scott_necessity,
 )
-from ordtop.representations import _members_not_lsc
-from ordtop.topologies import (
-    Topology,
-    _chain_refines_alexandrov,
-    alexandrov_topology,
-    is_closed,
-    is_finer,
-    upper_topology,
-)
-
-class TheoremViolation(NamedTuple):
-    theorem_id: str
-    instance: str  # serialised InstanceDocument
-    params: dict
-    detail: str
+from ordtop.preorders import Preorder, build_preorder, mask_of
+from ordtop.topologies import Topology, alexandrov_topology, upper_topology
+from ordtop.topology_steps import _alexandrov_antitone, _topology_coincidence
 
 
 class TheoremReport(NamedTuple):
@@ -61,9 +50,6 @@ class TheoremReport(NamedTuple):
         return self.non_vacuous > 0
 
 
-_Answer = tuple[int, int, list[TheoremViolation]]  # (checked, non_vacuous, violations)
-
-
 def _run(theorem_id: str, started: float, inputs: _Inputs) -> TheoremReport:
     """The report of the step of ``theorem_id`` on ``inputs``, timed from ``started``."""
     checked, non_vacuous, violations = _THEOREMS[theorem_id].step(inputs)
@@ -71,31 +57,10 @@ def _run(theorem_id: str, started: float, inputs: _Inputs) -> TheoremReport:
     return TheoremReport(theorem_id, checked, non_vacuous, tuple(violations), elapsed)
 
 
-def _violation(
-    theorem_id: str,
-    p: Preorder,
-    t: Topology | None = None,
-    params: dict | None = None,
-    detail: str = "",
-) -> TheoremViolation:
-    doc = instances.make_document(p, topology=t)
-    return TheoremViolation(theorem_id, instances.serialize_instance(doc), params or {}, detail)
-
-
 def check_lsc_iff_upper(p: Preorder, t: Topology) -> TheoremReport:
     """Lower semicontinuity of the preorder iff the topology refines its upper topology."""
     started = time.perf_counter()
     return _run("lsc-iff-upper", started, _Inputs(p, sample_ts=[t], tu=upper_topology(p)))
-
-
-def _lsc_iff_upper(inputs: _Inputs) -> _Answer:
-    """Step of lsc-iff-upper in each sample topology; its premise always holds."""
-    p, found = inputs.p, []
-    for t, sc in zip(inputs.distinct, inputs.lsc()):
-        rhs = is_finer(t, inputs.tu).ok
-        found.append([] if sc.ok == rhs else [_violation(
-            "lsc-iff-upper", p, t, detail=f"semicontinuity={sc.ok} but upper-refinement={rhs}")])
-    return inputs.per_sample([True] * len(found), found)
 
 
 def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
@@ -109,59 +74,12 @@ def check_scott_necessity(p: Preorder, t: Topology) -> TheoremReport:
     return _run("scott-necessity", started, _Inputs(p, sample_ts=[t]))
 
 
-def _scott_necessity(inputs: _Inputs) -> _Answer:
-    """Step of scott-necessity in each sample topology, whose premise is the
-    lower semicontinuity of ``p`` there.  Only an instance whose premise
-    holds reads the Scott family and topology."""
-    p, lsc, found = inputs.p, inputs.lsc(), []
-    for t, sc in zip(inputs.distinct, lsc):
-        details = []
-        if not sc.ok:
-            assert sc.contour is not None
-            if is_closed(t, sc.contour):
-                details.append(f"obstruction contour of {sc.witness!r} is closed after all")
-        else:
-            belows, sublevels, verdict = inputs.family()
-            if not verdict.ok:
-                details.append(f"constructed family fails the RP check: {verdict.witness}")
-            for k, x in _members_not_lsc(t, belows, sublevels):
-                details.append(f"member {k} is not lower semicontinuous at {p.elements[x]!r}")
-            fin = is_finer(t, inputs.scott())
-            if not fin.ok:
-                details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
-        found.append([_violation("scott-necessity", p, t, detail=d) for d in details])
-    return inputs.per_sample([sc.ok for sc in lsc], found)
-
-
 def check_alexandrov_antitone(p_coarse: Preorder, p_fine: Preorder) -> TheoremReport:
     """Refining the preorder can only shrink the Alexandrov topology."""
     started = time.perf_counter()
     inputs = _Inputs(p_coarse, ta=alexandrov_topology(p_coarse), fine=p_fine,
                      ta_fine=alexandrov_topology(p_fine))
     return _run("alexandrov-antitone", started, inputs)
-
-
-def _alexandrov_antitone(inputs: _Inputs) -> _Answer:
-    """Step of alexandrov-antitone on its one instance, ``p`` and ``fine``."""
-    p_coarse, p_fine = inputs.p, inputs.fine
-    if p_coarse.elements != p_fine.elements:
-        raise GroundMismatchError(p_coarse.n, p_fine.n)
-    for i in range(p_coarse.n):
-        escaped = p_coarse.rows[i] & ~p_fine.rows[i]
-        if escaped:
-            j = (escaped & -escaped).bit_length() - 1
-            raise RefinementViolatedError((p_coarse.elements[i], p_coarse.elements[j]))
-    fin = is_finer(inputs.ta, inputs.ta_fine)
-    if fin.ok:
-        return 1, 1, []
-    coarse_relation = instances.make_document(p_coarse).relation
-    return 1, 1, [
-        _violation(
-            "alexandrov-antitone", p_fine,
-            params={"coarse_relation": [list(ab) for ab in coarse_relation]},
-            detail=f"fine Alexandrov open {fin.missing_open:#x} missing from the coarse one",
-        )
-    ]
 
 
 def check_linear_extensions_lsc(
@@ -178,52 +96,6 @@ def check_linear_extensions_lsc(
         raise GroundMismatchError(p.n, t.ground_size)
     inputs = _Inputs(p, ta=alexandrov_topology(p), cases=[(t, seed)], samples=samples)
     return _run("linear-extensions-lsc", started, inputs)
-
-
-def _linear_extensions_lsc(inputs: _Inputs) -> _Answer:
-    """Step of linear-extensions-lsc over the (topology, seed) ``cases``;
-    each extension checked is a non-vacuous instance.
-
-    Every case's premise is decided first, so a failing one raises before
-    anything is enumerated.  It then enumerates ``samples + 1``
-    extensions of ``p``.  When there are more than ``samples``, ``samples``
-    of them are drawn per topology from ``quotient(p)``; else all of them
-    are checked.  A drawn extension stays a class order: its contours are
-    the prefix unions.
-    """
-    p, samples = inputs.p, inputs.samples
-    for t, _ in inputs.cases:
-        fin = is_finer(t, inputs.ta)
-        if not fin.ok:
-            raise PremiseFailedError(
-                "topology is not finer than the Alexandrov topology", fin.missing_open
-            )
-    extensions = enumerate_linear_extensions(p, samples + 1)
-    # Without forced pairs the extension draws on the quotient's own order,
-    # so one quotient serves every sample.
-    q = quotient(p) if len(extensions) > samples else None
-    checked, violations = 0, []
-    for t, seed in inputs.cases:
-        if q is not None:
-            orders = [_szpilrajn_class_order(q.order.cols, seed * 8191 + i) for i in range(samples)]
-            contours = [
-                kernels.ranked_contours(p.n, [q.class_masks[c] for c in order])[0]
-                for order in orders
-            ]
-        else:
-            contours = [e.cols for e in extensions]
-        checked += len(contours)
-        # Extension by extension, element by element: the first failure is the witness.
-        i = kernels.first_not_closed(t.rows, [c for cols in contours for c in cols])
-        if i >= 0:
-            violations.append(
-                _violation(
-                    "linear-extensions-lsc", p, t,
-                    params={"samples": samples, "seed": seed},
-                    detail=f"extension contour of {p.elements[i % p.n]!r} is not closed",
-                )
-            )
-    return checked, checked, violations
 
 
 def check_chain_restriction(
@@ -245,62 +117,11 @@ def check_chain_restriction(
     return _run("chain-restriction", started, inputs)
 
 
-def _chain_restriction(inputs: _Inputs) -> _Answer:
-    """Step of chain-restriction: each (chain, outsider) of ``pairs`` in each
-    sample topology, pair by pair and then in sample order.
-
-    Every pair is validated first.  The premise, that a topology refines
-    ``ta``, is decided once per distinct topology, and where it holds the
-    conclusion once per distinct chain: all outsiders of a chain share it.
-    """
-    p, pairs, slots = inputs.p, inputs.pairs, inputs.slots
-    for chain, x in pairs:
-        _check_chain_and_outsider(p, chain, x)
-    chains = list(dict.fromkeys(chain for chain, _ in pairs))
-    # Per distinct topology: None when the premise fails, else the missing
-    # open of each chain that fails the conclusion.
-    failed = [
-        {c: m for c in chains if (m := _chain_refines_alexandrov(p, t, c)) is not None}
-        if is_finer(t, inputs.ta).ok else None
-        for t in inputs.distinct
-    ]
-    violations = [
-        _violation(
-            "chain-restriction", p, inputs.distinct[i],
-            params={"chain": list(labels_of(p, chain)), "x": x},
-            detail=f"trace open {failed[i][chain]:#x} missing on the chain",
-        )
-        for chain, x in pairs
-        for i in slots
-        if failed[i] and chain in failed[i]
-    ]
-    held = sum(failed[i] is not None for i in slots)
-    return len(pairs) * len(slots), len(pairs) * held, violations
-
-
 def check_topology_coincidence(p: Preorder) -> TheoremReport:
     """Upper within Scott within Alexandrov, and (finite fact) all three equal."""
     started = time.perf_counter()
     inputs = _Inputs(p, tu=upper_topology(p), ta=alexandrov_topology(p))
     return _run("topology-coincidence", started, inputs)
-
-
-def _topology_coincidence(inputs: _Inputs) -> _Answer:
-    """Step of topology-coincidence on its one instance, ``p``."""
-    p, ts, tu, ta = inputs.p, inputs.scott(), inputs.tu, inputs.ta
-    violations = []
-    if not is_finer(ts, tu).ok:
-        violations.append(_violation("topology-coincidence", p, detail="upper not within scott"))
-    if not is_finer(ta, ts).ok:
-        violations.append(_violation("topology-coincidence", p, detail="scott not within alexandrov"))
-    # Equal rows mean equal open families: the Scott family came through the
-    # validating constructor, so its rows describe it exactly.
-    if not (tu.rows == ts.rows == ta.rows):
-        violations.append(
-            _violation("topology-coincidence", p,
-                       detail="generators disagree at finite scale")
-        )
-    return 1, 1, violations
 
 
 class _Theorem(NamedTuple):

@@ -1,11 +1,17 @@
-"""The inputs of the theorem steps in :mod:`ordtop.checkers`: the instances
-of one preorder, and the facts several steps share, each computed on
-first use."""
+"""The inputs of the theorem steps, and the shape of their answers.
+
+An input record holds the instances of one preorder and the facts several
+steps share, each computed on first use.  A step answers with its counts
+and its :class:`TheoremViolation` records.  The steps live in one module
+per theorem family (:mod:`ordtop.lsc_steps`, :mod:`ordtop.topology_steps`),
+and the table of :mod:`ordtop.checkers` names them; both import from here.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from ordtop import instances
 from ordtop.preorders import Preorder
 from ordtop.representations import (
     PreorderScVerdict,
@@ -15,6 +21,27 @@ from ordtop.representations import (
     preorder_semicontinuity,
 )
 from ordtop.topologies import Topology, scott_topology
+
+
+class TheoremViolation(NamedTuple):
+    theorem_id: str
+    instance: str  # serialised InstanceDocument
+    params: dict
+    detail: str
+
+
+_Answer = tuple[int, int, list[TheoremViolation]]  # (checked, non_vacuous, violations)
+
+
+def _violation(
+    theorem_id: str,
+    p: Preorder,
+    t: Topology | None = None,
+    params: dict | None = None,
+    detail: str = "",
+) -> TheoremViolation:
+    doc = instances.make_document(p, topology=t)
+    return TheoremViolation(theorem_id, instances.serialize_instance(doc), params or {}, detail)
 
 
 class _Inputs:

@@ -130,8 +130,9 @@ def relation_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def up_sets(rows: Sequence[int]) -> list[int]:
-    """All up-set masks of a preorder, ascending.
+def up_sets(rows: Sequence[int], cols: Sequence[int] | None = None) -> list[int]:
+    """All up-set masks of a preorder, ascending; ``cols`` are its columns
+    when the caller has them.
 
     Branches on the lowest undecided point x: either x is in, and with it
     everything above it, or x is out, and with it everything below it.
@@ -141,7 +142,7 @@ def up_sets(rows: Sequence[int]) -> list[int]:
     """
     n = len(rows)
     full = (1 << n) - 1
-    cols = _columns(rows)
+    cols = _columns(rows) if cols is None else cols
     out = []
     stack = [(0, 0)]
     while stack:
@@ -160,9 +161,10 @@ def up_sets(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def count_up_sets(rows: Sequence[int], limit: int) -> int:
+def count_up_sets(rows: Sequence[int], limit: int, cols: Sequence[int] | None = None) -> int:
     """The number of up-sets of a preorder when it is at most ``limit``,
-    else some number above ``limit``; none is listed.
+    else some number above ``limit``; none is listed.  ``cols`` are its
+    columns when the caller has them.
 
     The counts of the connected parts multiply, 2 for a single point.  A
     larger part branches as :func:`up_sets` does, on a point comparable with
@@ -171,7 +173,7 @@ def count_up_sets(rows: Sequence[int], limit: int) -> int:
     sum or product stops once past its limit.  A point below or above all
     of a part takes the part apart at once.
     """
-    cols, known = _columns(rows), {}
+    cols, known = _columns(rows) if cols is None else cols, {}
     near = [r | c for r, c in zip(rows, cols)]  # the points comparable with each
     stack, count = [_count_parts(rows, cols, near, known, (1 << len(rows)) - 1, limit)], None
     while stack:
@@ -185,7 +187,7 @@ def count_up_sets(rows: Sequence[int], limit: int) -> int:
 
 
 def _count_parts(
-    rows: Sequence[int], cols: list[int], near: list[int], known: dict[int, int], mask: int,
+    rows: Sequence[int], cols: Sequence[int], near: list[int], known: dict[int, int], mask: int,
     limit: int,
 ) -> Generator[tuple[int, int], int, int]:
     """The up-set count of the points of ``mask``, as a generator run by
@@ -278,7 +280,7 @@ def scott_opens(rows: list[int]) -> list[int]:
     and the list is rebuilt only when d strikes some up-set from it.
     """
     cols = _columns(rows)
-    out = up_sets(rows)
+    out = up_sets(rows, cols)
     for d in range(1, 1 << len(rows)):
         directed, sup_class = directed_sup(rows, cols, d)
         if directed and sup_class is not None:
@@ -289,12 +291,13 @@ def scott_opens(rows: list[int]) -> list[int]:
     return out
 
 
-def max_antichain(rows: Sequence[int]) -> int:
+def max_antichain(rows: Sequence[int], cols: Sequence[int] | None = None) -> int:
     """Mask of the lowest maximum antichain (of first points of classes), by
     Dilworth-Koenig: a maximum matching of points to points strictly below
     them, grown along augmenting paths on a stack, then the points that
-    alternating paths from the unmatched ones reach, less those reached below."""
-    cols = _columns(rows)
+    alternating paths from the unmatched ones reach, less those reached
+    below.  ``cols`` are the preorder's columns when the caller has them."""
+    cols = _columns(rows) if cols is None else cols
     firsts = [i for i in range(len(rows)) if not rows[i] & cols[i] & ((1 << i) - 1)]
     reps = sum(1 << i for i in firsts)
     below = [c & ~r & reps for r, c in zip(rows, cols)]

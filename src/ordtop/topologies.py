@@ -79,15 +79,16 @@ class Topology(_Record):
         :func:`kernels.count_up_sets`, before anything is listed.
         """
         rows, cap = self.rows, kernels.UP_SETS_CAP
+        cols = kernels._columns(rows)  # read by the width, the count and the listing
         if 1 << len(rows) > cap:
-            w = kernels.max_antichain(rows).bit_count()
+            w = kernels.max_antichain(rows, cols).bit_count()
             if 1 << w > cap:
                 what = f"counting only the up-closures of a {w}-point antichain, the open family"
                 raise TooLargeError(cap, 1 << w, what)
-            count = kernels.count_up_sets(rows, cap)
+            count = kernels.count_up_sets(rows, cap, cols)
             if count > cap:
                 raise TooLargeError(cap, count, "counted until it passed the cap, the open family")
-        return tuple(kernels.up_sets(rows))
+        return tuple(kernels.up_sets(rows, cols))
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is open; False for a mask outside the ground set."""

@@ -228,6 +228,8 @@ BENEATH = {
     "ordtop.fields": "ordtop.instances",
     "ordtop.checkers": "ordtop.theorems",
     "ordtop.inputs": "ordtop.theorems",
+    "ordtop.lsc_steps": "ordtop.theorems",
+    "ordtop.topology_steps": "ordtop.theorems",
 }
 
 

@@ -9,7 +9,16 @@ from fractions import Fraction
 import pytest
 
 import ordtop as ot
-from ordtop import checkers, inputs, instances, kernels, representations, theorems
+from ordtop import (
+    checkers,
+    inputs,
+    instances,
+    kernels,
+    lsc_steps,
+    representations,
+    theorems,
+    topologies,
+)
 from ordtop.errors import (
     DuplicateLabelError,
     EmptyUniverseError,
@@ -201,6 +210,22 @@ def test_check_linear_extensions_examples(vee, antichain2, chain3):
         check_linear_extensions_lsc(chain3, ot.indiscrete(3), 10, 0)
 
 
+def test_linear_extensions_checker_draws_each_sample_with_its_own_seed(monkeypatch):
+    # 4! = 24 extensions of the 4-antichain, so 3 of them are drawn; the
+    # closedness kernel sees their contours, 4 per extension, in one call.
+    real, seen = kernels.first_not_closed, []
+
+    def spy(rows, masks):
+        seen.append(list(masks))
+        return real(rows, seen[-1])
+
+    monkeypatch.setattr(kernels, "first_not_closed", spy)
+    antichain4 = ot.build_preorder(default_labels(4))
+    assert check_linear_extensions_lsc(antichain4, ot.discrete(4), 3, 0).ok
+    [masks] = seen
+    assert len(masks) == 12 and len({tuple(masks[k:k + 4]) for k in (0, 4, 8)}) == 3
+
+
 def _hook_instance():
     # a <= b plus x incomparable to both
     return ot.build_preorder(("a", "b", "x"), [("a", "b")])
@@ -216,7 +241,9 @@ def _forbid_extension_enumeration(monkeypatch):
     def fail(p, limit):
         raise AssertionError("linear extensions enumerated for the chain-restriction premise")
 
-    monkeypatch.setattr(checkers, "enumerate_linear_extensions", fail)
+    monkeypatch.setattr(lsc_steps, "enumerate_linear_extensions", fail)
+    with pytest.raises(AssertionError, match="linear extensions enumerated"):
+        check_linear_extensions_lsc(_hook_instance(), ot.discrete(3), 1, 0)  # the spy intercepts
 
 
 def test_check_chain_restriction_examples(monkeypatch):
@@ -272,6 +299,18 @@ def test_check_topology_coincidence_examples(vee, equiv2, single):
     for p in (vee, equiv2, single):
         report = check_topology_coincidence(p)
         assert report.ok
+
+
+@pytest.mark.parametrize(("wrong", "details"), [
+    ("indiscrete", ["upper not within scott", "generators disagree at finite scale"]),
+    ("discrete", ["scott not within alexandrov", "generators disagree at finite scale"]),
+])
+def test_topology_coincidence_reports_a_wrong_scott_topology(monkeypatch, chain3, wrong, details):
+    # A Scott generator that returned the wrong topology is caught by one
+    # refinement check and by the row comparison.
+    monkeypatch.setattr(inputs, "scott_topology", lambda p: getattr(ot, wrong)(p.n))
+    report = check_topology_coincidence(chain3)
+    assert [v.detail for v in report.violations] == details
 
 
 def test_chain_outsider_enumeration(vee):
@@ -677,7 +716,7 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
     # The theorem holds, so a conclusion shared across different topologies
     # would still read ok.  A conclusion that fails in the discrete topology
     # alone makes any such sharing change the answers.
-    real = checkers._chain_refines_alexandrov
+    real = lsc_steps._chain_refines_alexandrov
 
     def fails_when_discrete(p, t, chain):
         missing = real(p, t, chain)
@@ -685,7 +724,7 @@ def test_suite_shares_conclusions_only_between_equal_topologies(monkeypatch):
             return chain
         return missing
 
-    monkeypatch.setattr(checkers, "_chain_refines_alexandrov", fails_when_discrete)
+    monkeypatch.setattr(lsc_steps, "_chain_refines_alexandrov", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
     assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
@@ -696,14 +735,14 @@ def test_exhaustive_premise_refuses_a_truncated_extension_list(monkeypatch):
     # The premise needs no extension list, so none can be truncated: the
     # chain-restriction checker requests no extensions, and the others
     # request only the samples + 1 that linear-extensions-lsc reads.
-    real = checkers.enumerate_linear_extensions
+    real = lsc_steps.enumerate_linear_extensions
     limits = []
 
     def spy(p, limit):
         limits.append(limit)
         return real(p, limit)
 
-    monkeypatch.setattr(checkers, "enumerate_linear_extensions", spy)
+    monkeypatch.setattr(lsc_steps, "enumerate_linear_extensions", spy)
     antichain4 = ot.build_preorder(default_labels(4))  # 4! = 24 linear extensions
     report = check_chain_restriction(antichain4, ot.discrete(4), ot.mask_of(antichain4, "a"), "b")
     assert report.premise_held and limits == []
@@ -729,15 +768,19 @@ def test_linear_extensions_checker_refuses_fewer_than_one_sample(samples, monkey
     def fail(p, limit):
         raise AssertionError("extensions enumerated")
 
-    monkeypatch.setattr(checkers, "enumerate_linear_extensions", fail)
+    monkeypatch.setattr(lsc_steps, "enumerate_linear_extensions", fail)
     antichain2 = ot.build_preorder(default_labels(2))
     with pytest.raises(ValueError, match="samples must be at least 1"):
         check_linear_extensions_lsc(antichain2, ot.discrete(2), samples, 0)
+    with pytest.raises(AssertionError, match="extensions enumerated"):
+        check_linear_extensions_lsc(antichain2, ot.discrete(2), 1, 0)  # the spy intercepts
 
 
 def test_suite_miner_and_public_checker_run_the_table_step(monkeypatch, chain3):
-    # One step per theorem: replacing it in the table reaches all three callers.
+    # One step per theorem, in its family module: replacing it in the table
+    # reaches all three callers.
     theorem = checkers._THEOREMS["scott-necessity"]
+    assert theorem.step is lsc_steps._scott_necessity
     suite_answers = _answers(theorems.run_theorem_suite(3, 0))
     mine_answers = _answers(theorems.mine(0, 10, 4))
     calls = []
@@ -812,14 +855,14 @@ def test_suite_decides_lsc_per_distinct_topology(monkeypatch):
 def test_suite_checks_scott_family_members_in_each_topology(monkeypatch):
     # The family is built once per p, but its members are checked in every
     # distinct t.
-    real = checkers._members_not_lsc
+    real = lsc_steps._members_not_lsc
 
     def fails_when_discrete(t, belows, sublevels):
         if t == ot.discrete(t.ground_size):
             return [(len(belows) - 1, 0)]
         return real(t, belows, sublevels)
 
-    monkeypatch.setattr(checkers, "_members_not_lsc", fails_when_discrete)
+    monkeypatch.setattr(lsc_steps, "_members_not_lsc", fails_when_discrete)
     suite = theorems.run_theorem_suite(max_size=3, seed=0)
     assert _answers(suite) == reference_suite(3, 0)
     by_id = {r.theorem_id: r for r in suite.reports}
@@ -902,14 +945,14 @@ def test_mask_cores_match_object_route():
                     ot.preorder_semicontinuity(e, t, lower).ok for e in exts
                 )
                 verdicts = [ot.semicontinuity(g, t, lower) for g in members]
-                assert checkers._members_not_lsc(t, belows, sublevels) == [
+                assert representations._members_not_lsc(t, belows, sublevels) == [
                     (k, p.elements.index(sc.at)) for k, sc in enumerate(verdicts) if not sc.ok
                 ]
                 for chain in chains:
                     fin = ot.is_finer(
                         ot.subspace(t, chain), ot.alexandrov_topology(ot.restrict(p, chain))
                     )
-                    missing = checkers._chain_refines_alexandrov(p, t, chain)
+                    missing = topologies._chain_refines_alexandrov(p, t, chain)
                     assert missing == (None if fin.ok else fin.missing_open)
 
 
