@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 from ordtop import instances
 from ordtop.errors import GroundMismatchError
-# The violation record and its builder are re-exported with the inputs class.
-from ordtop.inputs import TheoremViolation, _Inputs, _violation
+# The violation record is re-exported with the inputs class.
+from ordtop.inputs import TheoremViolation, _Inputs
 from ordtop.lsc_steps import (
     _chain_restriction,
     _linear_extensions_lsc,

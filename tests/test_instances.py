@@ -246,7 +246,7 @@ def test_make_document_lists_no_opens_until_serialised(vee, monkeypatch):
     t = ot.alexandrov_topology(vee)
     calls = []
     real = kernels.up_sets
-    monkeypatch.setattr(kernels, "up_sets", lambda rows, cols: calls.append(rows) or real(rows, cols))
+    monkeypatch.setattr(kernels, "up_sets", lambda rows, cols=None: calls.append(rows) or real(rows, cols))
     doc = make_document(vee, topology=t)
     assert doc.topology.explicit is t and calls == []
     payload = document_payload(doc)

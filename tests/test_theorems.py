@@ -397,7 +397,7 @@ def test_every_theorem_replays_through_its_public_checker(theorem_id, monkeypatc
     name = "check_" + theorem_id.replace("-", "_")
     public, calls = getattr(checkers, name), []
     monkeypatch.setattr(checkers, name, lambda *args: calls.append(args) or public(*args))
-    report = replay_violation(checkers._violation(theorem_id, p, t, params=params))
+    report = replay_violation(inputs._violation(theorem_id, p, t, params=params))
     expected = {
         "topology-coincidence": (p,),
         "lsc-iff-upper": (p, t),
@@ -416,7 +416,7 @@ def test_every_theorem_replays_through_its_public_checker(theorem_id, monkeypatc
 def test_replay_refuses_a_record_whose_document_lacks_its_topology(theorem_id, monkeypatch):
     name = "check_" + theorem_id.replace("-", "_")
     monkeypatch.setattr(checkers, name, lambda *args: pytest.fail("checker called"))
-    v = checkers._violation(theorem_id, _hook_instance(), params=REPLAY_CASES[theorem_id][1])
+    v = inputs._violation(theorem_id, _hook_instance(), params=REPLAY_CASES[theorem_id][1])
     with pytest.raises(ValueError, match=f"'{theorem_id}' record needs a topology"):
         replay_violation(v)
 
@@ -429,7 +429,7 @@ def test_replay_refuses_an_unknown_theorem_before_parsing(monkeypatch):
 
 def test_violation_serialisation_and_replay(chain3, monkeypatch):
     tu = ot.upper_topology(chain3)
-    v = checkers._violation("lsc-iff-upper", chain3, tu, detail="fabricated")
+    v = inputs._violation("lsc-iff-upper", chain3, tu, detail="fabricated")
     assert v.theorem_id == "lsc-iff-upper"
     assert json.loads(v.instance)["elements"] == ["a", "b", "c"]
     # replay dispatches to the right checker and rebuilds the exact instance
@@ -449,7 +449,7 @@ def test_violation_serialisation_and_replay(chain3, monkeypatch):
     monkeypatch.setattr(checkers, "check_chain_restriction", spy)
     p = _hook_instance()
     for t, premise in ((ot.discrete(3), True), (ot.indiscrete(3), False)):
-        v2 = checkers._violation(
+        v2 = inputs._violation(
             "chain-restriction", p, t, params={"chain": ["a", "b"], "x": "x"}
         )
         report = replay_violation(v2)

@@ -417,7 +417,7 @@ def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
     monkeypatch.setattr(kernels, "UP_SETS_CAP", 8)
     assert len(ot.discrete(3).opens) == 8
     # On 4 points 2^4 passes the cap, so nothing is listed before the family fits.
-    monkeypatch.setattr(kernels, "up_sets", lambda rows, cols: pytest.fail("listed"))
+    monkeypatch.setattr(kernels, "up_sets", lambda rows, cols=None: pytest.fail("listed"))
     # a point below three others: connected and of width 3, but 9 up-sets, counted
     with pytest.raises(TooLargeError, match="counted until it passed the cap.* has 9 elements"):
         Topology(4, (0b1111, 0b0010, 0b0100, 0b1000)).opens

@@ -1,13 +1,13 @@
 """Run the listed text mutants, each in a fresh temporary copy of the repository.
 
-Run from the repository root:
+Run from the repository root, with no arguments:
 
-    python3 tools/mutate.py                  # every mutant in tools/mutants.json
-    python3 tools/mutate.py NAME [NAME ...]  # only the named ones
+    python3 tools/mutate.py
 
-Each mutant names a ``file`` (relative to the root), an ``old`` text that
-must occur in it exactly once, the ``new`` text that replaces it, and the
-test ``modules`` to run.  A mutant whose old text occurs zero times or more
+It runs every mutant of ``tools/mutants.json``.  Each mutant names a
+``file`` (relative to the root), an ``old`` text that must occur in it
+exactly once, the ``new`` text that replaces it, and the test ``modules``
+to run.  A mutant whose old text occurs zero times or more
 than once stops the run before anything is copied.  The unmutated tree runs
 the union of the modules first; each mutant is then applied in its own
 copy and run with ``python -m pytest -x``.  A mutant is killed when a test
@@ -21,7 +21,6 @@ stays outside tier-1, whose ``testpaths`` is ``tests``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -32,19 +31,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_LIST = Path(__file__).resolve().parent / "mutants.json"
+MUTANTS = Path(__file__).resolve().parent / "mutants.json"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_work")
 
 
-def load(path: Path, names: list[str]) -> list[dict]:
-    """The mutants of ``path`` (all, or those named), each checked against the tree."""
-    mutants = json.loads(path.read_text(encoding="utf-8"))
-    known = {m["name"] for m in mutants}
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise SystemExit(f"no such mutant: {', '.join(unknown)}")
-    if names:
-        mutants = [m for m in mutants if m["name"] in names]
+def load() -> list[dict]:
+    """The listed mutants, each checked against the tree."""
+    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
     for m in mutants:
         count = (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"])
         if count != 1:
@@ -71,12 +64,8 @@ def run_tests(modules: list[str], mutant: dict | None = None) -> tuple[int, floa
         return proc.returncode, time.perf_counter() - started, lines[-1] if lines else ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", type=Path, default=DEFAULT_LIST, help="the mutant list")
-    args = parser.parse_args(argv)
-    mutants = load(args.list, args.names)
+def main() -> int:
+    mutants = load()
 
     modules = sorted({module for m in mutants for module in m["modules"]})
     code, seconds, last = run_tests(modules)
