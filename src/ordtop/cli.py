@@ -278,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--topology", metavar="MODE|FILE")
 
     sp = add("theorems", cmd_theorems, "run the exhaustive theorem suite")
-    sp.add_argument("--all", action="store_true",
-                    help="ignored, kept for compatibility: every checker always runs")
     sp.add_argument("--max-size", type=_int_at_least(1), default=4)
     sp.add_argument("--seed", type=int, default=0)
 

@@ -73,13 +73,13 @@ def _parse_functions(
         raise err.InstanceValidationError("functions", "must be an object")
     from fractions import Fraction  # deferred: see representations._integer_function
 
+    known = set(p.elements)
     out = []
     for name in sorted(raw):
         table = raw[name]
         if not isinstance(table, dict):
             raise err.InstanceValidationError(f"functions.{name}", "must be an object")
         values = []
-        known = set(p.elements)
         for x in p.elements:
             if x not in table:
                 raise err.InstanceValidationError(

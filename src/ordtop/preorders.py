@@ -25,18 +25,9 @@ from ordtop.errors import (
     InconsistentForcingError,
     NotReflexiveError,
     NotTransitiveError,
-    NotTotalError,
     PremiseFailedError,
     UnknownLabelError,
 )
-
-class PairClass(Enum):
-    """How an ordered pair (a, b) sits in the preorder."""
-
-    EQUIVALENT = "equivalent"
-    STRICTLY_BELOW = "strictly-below"
-    STRICTLY_ABOVE = "strictly-above"
-    INCOMPARABLE = "incomparable"
 
 
 class ContourKind(Enum):
@@ -44,11 +35,6 @@ class ContourKind(Enum):
     WEAK_UPPER = "weak-upper"
     STRICT_LOWER = "strict-lower"
     STRICT_UPPER = "strict-upper"
-
-
-class SetDirection(Enum):
-    UP = "up"
-    DOWN = "down"
 
 
 class _lazy:
@@ -146,9 +132,6 @@ class Preorder(_Record):
         except KeyError:
             raise UnknownLabelError(label) from None
 
-    def label(self, i: int) -> str:
-        return self.elements[i]
-
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
@@ -233,18 +216,6 @@ def build_preorder(
     return Preorder(labels, tuple(rows))
 
 
-def classify_pair(p: Preorder, a: str, b: str) -> PairClass:
-    ab = p.leq(a, b)
-    ba = p.leq(b, a)
-    if ab and ba:
-        return PairClass.EQUIVALENT
-    if ab:
-        return PairClass.STRICTLY_BELOW
-    if ba:
-        return PairClass.STRICTLY_ABOVE
-    return PairClass.INCOMPARABLE
-
-
 def contour(p: Preorder, a: str, kind: ContourKind) -> int:
     """Mask of the requested contour set of ``a``."""
     i = p.index(a)
@@ -255,23 +226,6 @@ def contour(p: Preorder, a: str, kind: ContourKind) -> int:
     if kind is ContourKind.STRICT_UPPER:
         return p.rows[i] & ~p.cols[i]
     return p.cols[i] & ~p.rows[i]
-
-
-class MonotoneVerdict(NamedTuple):
-    ok: bool
-    witness: tuple[str, str] | None = None
-
-
-def is_monotone_set(p: Preorder, mask: int, direction: SetDirection) -> MonotoneVerdict:
-    """Check up-set / down-set closure; on failure return a violating pair."""
-    kernels.check_mask(mask, p.n)
-    reach = p.rows if direction is SetDirection.UP else p.cols
-    i = kernels.first_escape(reach, mask)
-    if i < 0:
-        return MonotoneVerdict(True)
-    escaped = reach[i] & ~mask
-    j = (escaped & -escaped).bit_length() - 1
-    return MonotoneVerdict(False, (p.elements[i], p.elements[j]))
 
 
 class Quotient(NamedTuple):
@@ -338,7 +292,7 @@ class WidthResult(NamedTuple):
 
 def width(p: Preorder) -> WidthResult:
     """The lowest maximum antichain, by Dilworth-Koenig matching in polynomial time."""
-    mask = kernels.max_antichain(list(p.rows))
+    mask = kernels.max_antichain(p.rows, p.cols)
     return WidthResult(mask.bit_count(), mask)
 
 

@@ -24,7 +24,7 @@ from ordtop.errors import (
     NotLscPreorderError,
     NotTotalError,
 )
-from ordtop.preorders import ContourKind, Preorder, _Record, contour, quotient
+from ordtop.preorders import Preorder, _Record, quotient
 from ordtop.topologies import Topology
 
 if TYPE_CHECKING:
@@ -51,7 +51,8 @@ class ValueFunction(_Record):
         missing = [x for x in labels if x not in mapping]
         if missing:
             raise DomainMismatchError(f"no value for {missing[0]!r}")
-        extra = [x for x in mapping if x not in set(labels)]
+        known = set(labels)
+        extra = [x for x in mapping if x not in known]
         if extra:
             raise DomainMismatchError(f"value for unknown element {extra[0]!r}")
         from fractions import Fraction
@@ -277,25 +278,6 @@ def preorder_semicontinuity(p: Preorder, t: Topology, sense: Sense) -> PreorderS
     if i >= 0:
         return PreorderScVerdict(False, p.elements[i], contours[i])
     return PreorderScVerdict(True)
-
-
-class StrictContinuityVerdict(NamedTuple):
-    ok: bool
-    witness: str | None = None
-    kind: ContourKind | None = None
-    contour: int | None = None
-
-
-def strict_continuity(p: Preorder, t: Topology) -> StrictContinuityVerdict:
-    """Openness of every strict contour (both directions) in ``t``."""
-    if p.n != t.ground_size:
-        raise GroundMismatchError(p.n, t.ground_size)
-    for a in p.elements:
-        for kind in (ContourKind.STRICT_LOWER, ContourKind.STRICT_UPPER):
-            c = contour(p, a, kind)
-            if not t.is_open(c):
-                return StrictContinuityVerdict(False, a, kind, c)
-    return StrictContinuityVerdict(True)
 
 
 def _integer_function(p: Preorder, values: Iterable[int]) -> ValueFunction:

@@ -262,16 +262,6 @@ def closure(t: Topology, mask: int) -> int:
     return acc
 
 
-def interior(t: Topology, mask: int) -> int:
-    """Largest open subset of ``mask``: the points whose U_x lies inside it."""
-    kernels.check_mask(mask, t.ground_size)
-    acc = 0
-    for x, u in enumerate(t.rows):
-        if not u & ~mask:
-            acc |= 1 << x
-    return acc
-
-
 def subspace(t: Topology, mask: int) -> Topology:
     """Trace topology on ``mask``, re-indexed to a compact ground set."""
     kernels.check_mask(mask, t.ground_size)

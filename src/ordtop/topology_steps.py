@@ -8,7 +8,7 @@ violations; the table of :mod:`ordtop.checkers` names it.
 from __future__ import annotations
 
 from ordtop import instances
-from ordtop.errors import GroundMismatchError, RefinementViolatedError
+from ordtop.errors import GroundMismatchError, PremiseFailedError, RefinementViolatedError
 from ordtop.inputs import _Answer, _Inputs, _violation
 from ordtop.topologies import is_finer
 
@@ -35,7 +35,11 @@ def _alexandrov_antitone(inputs: _Inputs) -> _Answer:
     """Step of alexandrov-antitone on its one instance, ``p`` and ``fine``."""
     p_coarse, p_fine = inputs.p, inputs.fine
     if p_coarse.elements != p_fine.elements:
-        raise GroundMismatchError(p_coarse.n, p_fine.n)
+        if p_coarse.n != p_fine.n:
+            raise GroundMismatchError(p_coarse.n, p_fine.n)
+        i = next(i for i in range(p_coarse.n) if p_coarse.elements[i] != p_fine.elements[i])
+        a, b = p_coarse.elements[i], p_fine.elements[i]
+        raise PremiseFailedError(f"labels differ at position {i}: {a!r} vs {b!r}", (a, b))
     for i in range(p_coarse.n):
         escaped = p_coarse.rows[i] & ~p_fine.rows[i]
         if escaped:

@@ -305,7 +305,7 @@ def test_criterion_8_cli_round_trip_and_budget(tmp_path, capsys):
 
     started = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "ordtop.cli", "theorems", "--all", "--max-size", "4", "--json"],
+        [sys.executable, "-m", "ordtop.cli", "theorems", "--max-size", "4", "--json"],
         capture_output=True,
         text=True,
         cwd=str(FIXTURES.parent),

@@ -211,22 +211,17 @@ def test_topology_from_file_flag(capsys):
 
 
 def test_theorems_command_small(capsys):
-    code, payload = run_json(capsys, "theorems", "--all", "--max-size", "2")
+    code, payload = run_json(capsys, "theorems", "--max-size", "2")
     assert code == 0
     reports = {r["theorem"]: r for r in payload["result"]["reports"]}
     assert reports["topology-coincidence"]["violations"] == 0
     assert reports["chain-restriction"]["non_vacuous"] > 0
 
-    # --all is accepted and ignored: every checker always runs.
-    code_without, without = run_json(capsys, "theorems", "--max-size", "2")
-
-    def untimed(envelope):
-        for r in envelope["result"]["reports"]:
-            del r["elapsed_seconds"]
-        return envelope
-
-    assert code_without == code
-    assert untimed(without) == untimed(payload)
+    # Every checker always runs, so there is no flag to select them.
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", "--all", "--max-size", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all" in capsys.readouterr().err
 
 
 def test_mine_command(capsys):

@@ -21,8 +21,6 @@ from ordtop import kernels
 from ordtop import preorders as preorders_module
 from ordtop.preorders import (
     ContourKind,
-    PairClass,
-    SetDirection,
     _szpilrajn_class_order,
     _total_preorder_from_class_order,
 )
@@ -51,7 +49,7 @@ def test_build_chain_forces_transitivity(chain3):
 
 
 def test_build_symmetric_pair_gives_equivalence(equiv2):
-    assert ot.classify_pair(equiv2, "a", "b") is PairClass.EQUIVALENT
+    assert equiv2.leq("a", "b") and equiv2.leq("b", "a")
 
 
 def test_build_vee_closure_matches_matrix_powering(vee):
@@ -68,7 +66,7 @@ def test_build_vee_closure_matches_matrix_powering(vee):
             break
         cur = nxt
     assert vee.rows == tuple(cur)
-    assert ot.classify_pair(vee, "a", "b") is PairClass.INCOMPARABLE
+    assert not vee.leq("a", "b") and not vee.leq("b", "a")
 
 
 def test_build_errors():
@@ -98,13 +96,13 @@ def test_built_preorders_satisfy_axioms(p):
                 assert p.rows[j] & ~p.rows[i] == 0
 
 
-# --- pair classification and contours ---------------------------------------
+# --- pairs and contours -----------------------------------------------------
 
 
 def test_classify_examples(chain3, equiv2, vee):
-    assert ot.classify_pair(chain3, "a", "c") is PairClass.STRICTLY_BELOW
-    assert ot.classify_pair(equiv2, "a", "b") is PairClass.EQUIVALENT
-    assert ot.classify_pair(vee, "a", "b") is PairClass.INCOMPARABLE
+    assert chain3.leq("a", "c") and not chain3.leq("c", "a")
+    assert equiv2.leq("a", "b") and equiv2.leq("b", "a")
+    assert not vee.leq("a", "b") and not vee.leq("b", "a")
 
 
 @given(preorders(), st.data())
@@ -112,13 +110,10 @@ def test_classify_examples(chain3, equiv2, vee):
 def test_classify_swap_symmetry(p, data):
     a = data.draw(st.sampled_from(p.elements))
     b = data.draw(st.sampled_from(p.elements))
-    swap = {
-        PairClass.STRICTLY_BELOW: PairClass.STRICTLY_ABOVE,
-        PairClass.STRICTLY_ABOVE: PairClass.STRICTLY_BELOW,
-        PairClass.EQUIVALENT: PairClass.EQUIVALENT,
-        PairClass.INCOMPARABLE: PairClass.INCOMPARABLE,
-    }
-    assert ot.classify_pair(p, b, a) is swap[ot.classify_pair(p, a, b)]
+    # a <= b read from a's row and from b's column, and its swap likewise
+    ai, bi = p.index(a), p.index(b)
+    assert p.leq(a, b) == bool(p.rows[ai] >> bi & 1) == bool(p.cols[bi] >> ai & 1)
+    assert p.leq(b, a) == bool(p.rows[bi] >> ai & 1) == bool(p.cols[ai] >> bi & 1)
 
 
 def test_contour_examples(chain3, vee, equiv2):
@@ -142,16 +137,19 @@ def test_contour_duality_and_monotonicity(p, data):
     eq_mask = p.eq_class_idx(ai)
     assert ot.contour(p, a, ContourKind.STRICT_LOWER) & eq_mask == 0
     assert ot.contour(p, a, ContourKind.STRICT_UPPER) & eq_mask == 0
-    assert ot.is_monotone_set(p, ot.contour(p, a, ContourKind.WEAK_UPPER), SetDirection.UP).ok
-    assert ot.is_monotone_set(p, weak_lower, SetDirection.DOWN).ok
+    # up-sets are the Alexandrov opens and down-sets its closed sets
+    ta = ot.alexandrov_topology(p)
+    assert ta.is_open(ot.contour(p, a, ContourKind.WEAK_UPPER))
+    assert ot.is_closed(ta, weak_lower)
 
 
 def test_is_monotone_set_examples(chain3, vee):
-    assert ot.is_monotone_set(chain3, ot.mask_of(chain3, "bc"), SetDirection.UP).ok
-    verdict = ot.is_monotone_set(chain3, ot.mask_of(chain3, "ac"), SetDirection.UP)
-    assert not verdict.ok
-    assert verdict.witness == ("a", "b")
-    assert ot.is_monotone_set(vee, ot.mask_of(vee, "ac"), SetDirection.UP).ok
+    ta = ot.alexandrov_topology(chain3)
+    assert ta.is_open(ot.mask_of(chain3, "bc"))
+    assert not ta.is_open(ot.mask_of(chain3, "ac"))  # a <= b, b outside
+    assert ot.is_closed(ta, ot.mask_of(chain3, "ab"))
+    assert not ot.is_closed(ta, ot.mask_of(chain3, "ac"))  # b <= c, b outside
+    assert ot.alexandrov_topology(vee).is_open(ot.mask_of(vee, "ac"))
 
 
 # --- quotient and width ------------------------------------------------------
@@ -211,10 +209,7 @@ def test_szpilrajn_examples(vee, antichain2, chain3):
     for seed in range(5):
         ext = ot.szpilrajn_extension(antichain2, seed=seed)
         assert ext.is_total()
-        assert ot.classify_pair(ext, "a", "b") in (
-            PairClass.STRICTLY_BELOW,
-            PairClass.STRICTLY_ABOVE,
-        )
+        assert ext.leq("a", "b") != ext.leq("b", "a")  # strictly ordered either way
 
     assert ot.szpilrajn_extension(chain3, seed=7) == chain3
 
@@ -232,7 +227,7 @@ def test_szpilrajn_postconditions_seeded():
             (a, b)
             for a in labels
             for b in labels
-            if ot.classify_pair(p, a, b) is PairClass.INCOMPARABLE
+            if not p.leq(a, b) and not p.leq(b, a)
         ]
         forced = [rng.choice(incomparable)] if incomparable and trial % 2 else []
         ext = ot.szpilrajn_extension(p, forced, seed=trial)

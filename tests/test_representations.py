@@ -189,10 +189,11 @@ def test_lsc_iff_upper_refinement_seeded():
 
 
 def test_strict_continuity_examples(chain3, antichain2):
-    assert ot.strict_continuity(chain3, ot.order_topology(chain3)).ok
-    verdict = ot.strict_continuity(chain3, ot.indiscrete(3))
-    assert not verdict.ok and verdict.witness == "a"
-    assert ot.strict_continuity(antichain2, ot.indiscrete(2)).ok
+    # every strict contour is open in t iff t refines the order topology
+    assert ot.is_finer(ot.order_topology(chain3), ot.order_topology(chain3)).ok
+    verdict = ot.is_finer(ot.indiscrete(3), ot.order_topology(chain3))
+    assert not verdict.ok and verdict.missing_open == ot.mask_of(chain3, "a")
+    assert ot.is_finer(ot.indiscrete(2), ot.order_topology(antichain2)).ok
 
 
 # --- constructions ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from ordtop import (
 from ordtop.errors import (
     DuplicateLabelError,
     EmptyUniverseError,
+    GroundMismatchError,
     PremiseFailedError,
     RefinementViolatedError,
     TooLargeError,
@@ -198,6 +199,18 @@ def test_check_alexandrov_antitone_examples(antichain2, vee):
 
     with pytest.raises(RefinementViolatedError):
         check_alexandrov_antitone(finer, antichain2)
+
+
+def test_check_alexandrov_antitone_names_the_ground_mismatch():
+    abc = ot.build_preorder(("a", "b", "c"))
+    with pytest.raises(GroundMismatchError, match="ground sizes differ: 3 vs 2"):
+        check_alexandrov_antitone(abc, ot.build_preorder(("a", "b")))
+    # Equal sizes, different labels: the first position that differs is named.
+    with pytest.raises(PremiseFailedError, match="labels differ at position 2: 'c' vs 'd'"):
+        check_alexandrov_antitone(abc, ot.build_preorder(("a", "b", "d")))
+    with pytest.raises(PremiseFailedError, match="labels differ at position 0: 'a' vs 'b'") as exc:
+        check_alexandrov_antitone(abc, ot.build_preorder(("b", "a", "c")))
+    assert exc.value.witness == ("a", "b")
 
 
 def test_check_linear_extensions_examples(vee, antichain2, chain3):

@@ -184,8 +184,6 @@ def test_closure_examples(chain3):
     assert ot.closure(t, a) == a
     assert ot.closure(t, b) == ot.mask_of(chain3, "ab")
     assert ot.closure(t, 0) == 0
-    assert ot.interior(t, ot.mask_of(chain3, "bc")) == ot.mask_of(chain3, "bc")
-    assert ot.interior(t, b) == 0
 
 
 def test_subspace_examples(chain3):
@@ -337,12 +335,7 @@ def test_closure_and_interior_match_definitions():
             for c in closeds:
                 if c & mask == mask:
                     smallest_closed &= c
-            largest_open = 0
-            for o in opens:
-                if o & mask == o:
-                    largest_open |= o
             assert ot.closure(t, mask) == smallest_closed
-            assert ot.interior(t, mask) == largest_open
             assert ot.is_closed(t, mask) == (mask in closeds)
             assert t.is_open(mask) == (mask in opens)
 
@@ -410,7 +403,7 @@ def test_large_ground_operations_never_list_subsets():
     assert trace == ot.alexandrov_topology(ot.restrict(chain, evens))
     assert len(trace.opens) == 21
     assert ot.subspace(d, evens) == ot.discrete(20)
-    assert ot.closure(ta, 1 << 39) == full and ot.interior(ta, full >> 1) == 0
+    assert ot.closure(ta, 1 << 39) == full
 
 
 def test_open_listing_is_refused_by_its_width_or_by_its_count(monkeypatch):
