@@ -243,59 +243,62 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {})
+_TOPOLOGY = (("--topology",), {"metavar": "MODE|FILE"})
+
+# The one list of commands: each one's name, function, help and arguments
+# (flags, options), declared after the --json that every command takes.
+_COMMANDS = (
+    ("validate", cmd_validate, "parse and validate an instance file", (_FILE,)),
+    ("topology", cmd_topology, "materialise a topology and list its opens", (_FILE, _TOPOLOGY)),
+    ("check-lsc", cmd_check_lsc, "check semicontinuity of the preorder", (
+        _FILE, _TOPOLOGY, (("--sense",), {"choices": ("lower", "upper"), "default": "lower"}),
+    )),
+    ("represent", cmd_represent, "construct representations for the instance",
+     (_FILE, _TOPOLOGY)),
+    ("decide-rp", cmd_decide_rp, "decide lsc Richter-Peleg multi-utility representability",
+     (_FILE, _TOPOLOGY)),
+    ("theorems", cmd_theorems, "run the exhaustive theorem suite", (
+        (("--max-size",), {"type": _int_at_least(1), "default": 4}),
+        (("--seed",), {"type": int, "default": 0}),
+    )),
+    ("mine", cmd_mine, "mine seeded random instances for violations", (
+        (("--seed",), {"type": int, "default": 0}),
+        (("--trials",), {"type": _int_at_least(1), "default": 100}),
+        (("--max-size",), {"type": _int_at_least(2), "default": 6}),
+    )),
+    ("export", cmd_export, "export the quotient Hasse diagram as DOT", (
+        _FILE, (("-o", "--output"), {}),
+    )),
+)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser, with only the subparser of the command that ``argv[0]``
+    names, or with every subparser when it names none (``-h``, no
+    arguments, or an unknown word)."""
     parser = argparse.ArgumentParser(
         prog="ordtop",
         description="Finite preorders, their topologies, and multi-utility representations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    named = [command for command in _COMMANDS if argv[:1] == [command[0]]]
+    # The usage line lists every command either way.  A metavar would also
+    # rename the argument in the errors that only a word naming no command
+    # meets, so it is set only with one subparser.
+    listed = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, func, help_text, arguments in named or _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        return sp
-
-    sp = add("validate", cmd_validate, "parse and validate an instance file")
-    sp.add_argument("file")
-
-    sp = add("topology", cmd_topology, "materialise a topology and list its opens")
-    sp.add_argument("file")
-    sp.add_argument("--topology", metavar="MODE|FILE")
-
-    sp = add("check-lsc", cmd_check_lsc, "check semicontinuity of the preorder")
-    sp.add_argument("file")
-    sp.add_argument("--topology", metavar="MODE|FILE")
-    sp.add_argument("--sense", choices=("lower", "upper"), default="lower")
-
-    sp = add("represent", cmd_represent, "construct representations for the instance")
-    sp.add_argument("file")
-    sp.add_argument("--topology", metavar="MODE|FILE")
-
-    sp = add("decide-rp", cmd_decide_rp,
-             "decide lsc Richter-Peleg multi-utility representability")
-    sp.add_argument("file")
-    sp.add_argument("--topology", metavar="MODE|FILE")
-
-    sp = add("theorems", cmd_theorems, "run the exhaustive theorem suite")
-    sp.add_argument("--max-size", type=_int_at_least(1), default=4)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("mine", cmd_mine, "mine seeded random instances for violations")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=_int_at_least(1), default=100)
-    sp.add_argument("--max-size", type=_int_at_least(2), default=6)
-
-    sp = add("export", cmd_export, "export the quotient Hasse diagram as DOT")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--output")
-
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe is met here, not at exit

@@ -290,13 +290,14 @@ class Instance(NamedTuple):
     mode: str | None
 
 
-def read_document(path: str) -> InstanceDocument:
-    """The instance document in the file at ``path``."""
+def read_document(path: str, note: str = "") -> InstanceDocument:
+    """The instance document in the file at ``path``; ``note`` ends the
+    error when the file cannot be read."""
     try:
         # No name holds the file's bytes, so the parse frees them once decoded.
         return parse_instance(Path(path).read_bytes())
     except OSError as exc:
-        raise err.OrdtopError(f"cannot read {path}: {exc}") from None
+        raise err.OrdtopError(f"cannot read {path}: {exc}{note}") from None
 
 
 def read_instance(path: str, topology: str | None = None) -> Instance:
@@ -307,7 +308,13 @@ def read_instance(path: str, topology: str | None = None) -> Instance:
     p = document_preorder(doc)
     if topology in TOPOLOGY_MODES:
         return Instance(p, TOPOLOGY_MODES[topology](p), topology)
-    other = doc if topology is None else read_document(topology)
+    if topology is None:
+        other = doc
+    else:
+        modes = ", ".join(TOPOLOGY_MODES)
+        other = read_document(
+            topology, f"; the topology is a readable instance file or one of the modes {modes}"
+        )
     spec = other.topology
     if spec is None and topology is not None:
         raise err.OrdtopError(f"topology file {topology} carries no topology")

@@ -57,26 +57,17 @@ def check_mask(mask: int, n: int) -> None:
         raise OutOfBoundsError(mask, n)
 
 
-def first_escape(rows: Sequence[int], mask: int) -> int:
-    """The first point of ``mask`` whose row leaves ``mask``, or -1 when
-    ``mask`` is closed upwards under the rows."""
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if rows[i] & ~mask:
-            return i
-        m ^= low
-    return -1
-
-
 def first_not_closed(rows: Sequence[int], masks: Iterable[int]) -> int:
     """Index of the first of ``masks`` not closed under the rows, or -1: a
-    mask is closed when :func:`first_escape` finds no escape from its complement."""
+    mask is closed when no point of its complement has a row that meets it."""
     full = (1 << len(rows)) - 1
-    for i, mask in enumerate(masks):
-        if first_escape(rows, full ^ mask) >= 0:
-            return i
+    for k, mask in enumerate(masks):
+        m = full ^ mask
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & mask:
+                return k
+            m ^= low
     return -1
 
 

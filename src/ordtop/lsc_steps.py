@@ -3,7 +3,8 @@ linear-extensions-lsc and chain-restriction.
 
 Each step decides the instances of one preorder held in an
 :class:`~ordtop.inputs._Inputs` and answers with its counts and its
-violations; the table of :mod:`ordtop.checkers` names it.
+violations; the table of :mod:`ordtop.checkers` names it.  The helpers
+that only one step calls sit beside it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from ordtop import kernels
 from ordtop.errors import PremiseFailedError
 from ordtop.inputs import _Answer, _Inputs, _violation
 from ordtop.preorders import (
-    _check_chain_and_outsider,
+    Preorder,
     _szpilrajn_class_order,
     enumerate_linear_extensions,
     labels_of,
     quotient,
 )
-from ordtop.representations import _members_not_lsc
-from ordtop.topologies import _chain_refines_alexandrov, is_closed, is_finer
+from ordtop.topologies import Topology, is_closed, is_finer
 
 
 def _lsc_iff_upper(inputs: _Inputs) -> _Answer:
@@ -54,6 +54,16 @@ def _scott_necessity(inputs: _Inputs) -> _Answer:
                 details.append(f"family exists but Scott open {fin.missing_open:#x} is missing")
         found.append([_violation("scott-necessity", p, t, detail=d) for d in details])
     return inputs.per_sample([sc.ok for sc in lsc], found)
+
+
+def _members_not_lsc(t: Topology, belows: list, sublevels: set[int]) -> list[tuple[int, int]]:
+    """Each member (given by its sublevel sets) that is not lsc in ``t``, with
+    its first non-closed position.  Each distinct sublevel set is decided
+    once; the members are searched only when one of those is not closed."""
+    if kernels.first_not_closed(t.rows, sublevels) < 0:
+        return []
+    firsts = [(k, kernels.first_not_closed(t.rows, below)) for k, below in enumerate(belows)]
+    return [(k, x) for k, x in firsts if x >= 0]
 
 
 def _linear_extensions_lsc(inputs: _Inputs) -> _Answer:
@@ -106,14 +116,18 @@ def _chain_restriction(inputs: _Inputs) -> _Answer:
     """Step of chain-restriction: each (chain, outsider) of ``pairs`` in each
     sample topology, pair by pair and then in sample order.
 
-    Every pair is validated first.  The premise, that a topology refines
+    Every pair is validated first, in pair order: its chain where the chain
+    first appears, and its outsider.  The premise, that a topology refines
     ``ta``, is decided once per distinct topology, and where it holds the
     conclusion once per distinct chain: all outsiders of a chain share it.
     """
     p, pairs, slots = inputs.p, inputs.pairs, inputs.slots
+    chains: dict[int, None] = {}  # each distinct chain, in pair order
     for chain, x in pairs:
-        _check_chain_and_outsider(p, chain, x)
-    chains = list(dict.fromkeys(chain for chain, _ in pairs))
+        if chain not in chains:
+            _check_chain(p, chain)
+            chains[chain] = None
+        _check_outsider(p, chain, x)
     # Per distinct topology: None when the premise fails, else the missing
     # open of each chain that fails the conclusion.
     failed = [
@@ -133,3 +147,53 @@ def _chain_restriction(inputs: _Inputs) -> _Answer:
     ]
     held = sum(failed[i] is not None for i in slots)
     return len(pairs) * len(slots), len(pairs) * held, violations
+
+
+def _check_chain(p: Preorder, chain: int) -> None:
+    """Validate the chain of a chain-restriction instance: a nonempty chain of ``p``."""
+    if not chain:
+        raise PremiseFailedError("chain is empty")
+    kernels.check_mask(chain, p.n)
+    rows, cols = p.rows, p.cols
+    m = chain
+    while m:
+        a = (m & -m).bit_length() - 1
+        m &= m - 1
+        loose = chain & ~(rows[a] | cols[a])
+        if loose:
+            b = (loose & -loose).bit_length() - 1
+            raise PremiseFailedError(
+                "chain is not totally ordered", (p.elements[a], p.elements[b])
+            )
+
+
+def _check_outsider(p: Preorder, chain: int, x: str) -> None:
+    """Validate the outsider of a chain-restriction instance: a point outside
+    ``chain`` that is comparable to none of it."""
+    xi = p.index(x)
+    if chain >> xi & 1:
+        raise PremiseFailedError(f"{x!r} lies inside the chain")
+    touching = chain & (p.rows[xi] | p.cols[xi])
+    if touching:
+        c = (touching & -touching).bit_length() - 1
+        raise PremiseFailedError(
+            f"{x!r} is comparable to a chain element", (x, p.elements[c])
+        )
+
+
+def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | None:
+    """The chain-restriction conclusion: the trace of ``t`` on ``chain``
+    refines the Alexandrov topology of ``p`` restricted to it, i.e.
+    ``t.rows[i] & chain`` lies in ``p.rows[i]`` for each i in the chain.
+    None if it does, else the open missing as ``is_finer(subspace(t, chain),
+    alexandrov_topology(restrict(p, chain)))`` reports it: the compacted
+    row of the first point that fails."""
+    t_rows, p_rows = t.rows, p.rows
+    m = chain
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if t_rows[i] & chain & ~p_rows[i]:
+            return kernels.compact_rows(p_rows, chain)[(chain & (low - 1)).bit_count()]
+        m ^= low
+    return None

@@ -25,7 +25,6 @@ from ordtop.errors import (
     InconsistentForcingError,
     NotReflexiveError,
     NotTransitiveError,
-    PremiseFailedError,
     UnknownLabelError,
 )
 
@@ -410,32 +409,3 @@ def restrict(p: Preorder, mask: int) -> Preorder:
     if not mask:
         raise EmptySetError("carrier of a sub-preorder")
     return Preorder(labels, tuple(kernels.compact_rows(p.rows, mask)))
-
-
-def _check_chain_and_outsider(p: Preorder, chain: int, x: str) -> None:
-    """Validate a chain-restriction instance apart from its topology:
-    ``chain`` a nonempty chain of ``p``, and ``x`` a point outside it that
-    is comparable to none of it."""
-    if not chain:
-        raise PremiseFailedError("chain is empty")
-    kernels.check_mask(chain, p.n)
-    rows, cols = p.rows, p.cols
-    m = chain
-    while m:
-        a = (m & -m).bit_length() - 1
-        m &= m - 1
-        loose = chain & ~(rows[a] | cols[a])
-        if loose:
-            b = (loose & -loose).bit_length() - 1
-            raise PremiseFailedError(
-                "chain is not totally ordered", (p.elements[a], p.elements[b])
-            )
-    xi = p.index(x)
-    if chain >> xi & 1:
-        raise PremiseFailedError(f"{x!r} lies inside the chain")
-    touching = chain & (rows[xi] | cols[xi])
-    if touching:
-        c = (touching & -touching).bit_length() - 1
-        raise PremiseFailedError(
-            f"{x!r} is comparable to a chain element", (x, p.elements[c])
-        )

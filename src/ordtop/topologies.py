@@ -96,7 +96,7 @@ class Topology(_Record):
             kernels.check_mask(mask, self.ground_size)
         except OutOfBoundsError:
             return False
-        return kernels.first_escape(self.rows, mask) < 0
+        return kernels.first_not_closed(self.rows, (self.full_mask ^ mask,)) < 0
 
 
 def _preorder_rows(ground_size: int, rows: tuple[int, ...]) -> Topology:
@@ -268,24 +268,6 @@ def subspace(t: Topology, mask: int) -> Topology:
     if not mask:
         raise EmptySubspaceError()
     return _preorder_rows(mask.bit_count(), tuple(kernels.compact_rows(t.rows, mask)))
-
-
-def _chain_refines_alexandrov(p: Preorder, t: Topology, chain: int) -> int | None:
-    """The chain-restriction conclusion: the trace of ``t`` on ``chain``
-    refines the Alexandrov topology of ``p`` restricted to it, i.e.
-    ``t.rows[i] & chain`` lies in ``p.rows[i]`` for each i in the chain.
-    None if it does, else the open missing as ``is_finer(subspace(t, chain),
-    alexandrov_topology(restrict(p, chain)))`` reports it: the compacted
-    row of the first point that fails."""
-    t_rows, p_rows = t.rows, p.rows
-    m = chain
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if t_rows[i] & chain & ~p_rows[i]:
-            return kernels.compact_rows(p_rows, chain)[(chain & (low - 1)).bit_count()]
-        m ^= low
-    return None
 
 
 def random_topology_between(lower: Topology, seed: int, extra_sets: int) -> Topology:

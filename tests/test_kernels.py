@@ -13,7 +13,7 @@ from ordtop import kernels
 from ordtop.errors import TooLargeError
 from ordtop.representations import _key_level_sets
 from ordtop.theorems import _preorder_levels
-from ordtop.topologies import SCOTT_CAP
+from ordtop.topologies import SCOTT_CAP, Topology
 from tests.test_preorders import preorders
 
 
@@ -386,7 +386,7 @@ def test_row_kernels_match_pairwise_definitions(case):
             sum(1 << k for k, j in enumerate(points) if leq[i][j]) for i in points
         ]
         escapes = [i for i in points if any(leq[i][j] and not mask >> j & 1 for j in range(n))]
-        assert kernels.first_escape(rows, mask) == (escapes[0] if escapes else -1)
+        assert Topology(n, tuple(rows)).is_open(mask) == (not escapes)
     # A mask is closed when no point outside it lies below a point inside it.
     not_closed = [
         k

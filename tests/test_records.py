@@ -221,6 +221,47 @@ def test_suite_driver_loops_over_the_table_of_theorems():
     assert named == [] and private <= {"_THEOREMS", "_Inputs"}
 
 
+# The modules beneath the theorem layer, the checker errors, and the private
+# helpers of the theorem steps, each with the theorem-layer module defining it.
+BENEATH_THEOREMS = ("kernels/__init__.py", "preorders.py", "topologies.py", "representations.py")
+CHECKER_ERRORS = {"PremiseFailedError", "RefinementViolatedError"}
+STEP_HELPERS = {
+    "_check_chain": "lsc_steps.py",
+    "_check_outsider": "lsc_steps.py",
+    "_chain_refines_alexandrov": "lsc_steps.py",
+    "_members_not_lsc": "lsc_steps.py",
+    "_scott_family": "inputs.py",
+}
+
+
+def defined_functions(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_theorem_checks_stay_in_the_theorem_layer():
+    """A theorem's checks, and the errors that report a failed premise or
+    refinement, live in the theorem layer: no module beneath it names a
+    checker error or defines a theorem step's helper.  (``ordtop.errors``
+    still defines the errors.)"""
+    found = []
+    for name in BENEATH_THEOREMS:
+        path = SRC / "ordtop" / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if named in CHECKER_ERRORS:
+                found.append(f"{name}:{node.lineno} {named}")
+        found += [f"{name} defines {f}" for f in defined_functions(path) & STEP_HELPERS.keys()]
+    assert found == []
+    for helper, home in STEP_HELPERS.items():
+        assert helper in defined_functions(SRC / "ordtop" / home)
+
+
 # Each ordtop module that ``import ordtop.cli`` loads and that is not a
 # layer, with the layer it is imported beneath.
 BENEATH = {

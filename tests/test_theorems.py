@@ -17,7 +17,6 @@ from ordtop import (
     lsc_steps,
     representations,
     theorems,
-    topologies,
 )
 from ordtop.errors import (
     DuplicateLabelError,
@@ -903,6 +902,27 @@ def test_suite_validates_every_chain_outsider_pair(monkeypatch):
     assert suite.value.args == reference.value.args
 
 
+def test_suite_validates_a_new_chain_before_its_outsider(monkeypatch):
+    # The first invalid pair's chain {a, b} is not totally ordered, and its
+    # outsider lies inside it: the chain's error is the one raised.
+    real = theorems._chain_outsider_pairs
+    antichain3 = ot.build_preorder(default_labels(3))
+
+    def with_one_invalid_chain(p):
+        for chain, x in real(p):
+            yield chain, x
+            if p == antichain3 and (chain, x) == (1, "b"):
+                yield 0b011, "a"
+
+    monkeypatch.setattr(theorems, "_chain_outsider_pairs", with_one_invalid_chain)
+    with pytest.raises(PremiseFailedError) as suite:
+        theorems.run_theorem_suite(max_size=3, seed=0)
+    with pytest.raises(PremiseFailedError) as reference:
+        reference_suite(3, 0)
+    assert suite.value.reason == reference.value.reason == "chain is not totally ordered"
+    assert suite.value.witness == reference.value.witness == ("a", "b")
+
+
 def label_pair_refinement(rng, p):
     """Oracle: the refinement drawn as label pairs and closed by build_preorder."""
     extra = []
@@ -939,7 +959,7 @@ def test_mask_cores_match_object_route():
             ]
             exts = ot.enumerate_linear_extensions(p, 1000)
             ta = ot.alexandrov_topology(p)
-            belows, sublevels, _ = representations._scott_family(p)
+            belows, sublevels, _ = inputs._scott_family(p)
             members = [
                 representations.ValueFunction(p.elements, tuple(Fraction(v) for v in row))
                 for row in representations._lsc_rp_rows(p)
@@ -958,14 +978,14 @@ def test_mask_cores_match_object_route():
                     ot.preorder_semicontinuity(e, t, lower).ok for e in exts
                 )
                 verdicts = [ot.semicontinuity(g, t, lower) for g in members]
-                assert representations._members_not_lsc(t, belows, sublevels) == [
+                assert lsc_steps._members_not_lsc(t, belows, sublevels) == [
                     (k, p.elements.index(sc.at)) for k, sc in enumerate(verdicts) if not sc.ok
                 ]
                 for chain in chains:
                     fin = ot.is_finer(
                         ot.subspace(t, chain), ot.alexandrov_topology(ot.restrict(p, chain))
                     )
-                    missing = topologies._chain_refines_alexandrov(p, t, chain)
+                    missing = lsc_steps._chain_refines_alexandrov(p, t, chain)
                     assert missing == (None if fin.ok else fin.missing_open)
 
 
