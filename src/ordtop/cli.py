@@ -273,21 +273,13 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser, with only the subparser of the command that ``argv[0]``
-    names, or with every subparser when it names none (``-h``, no
-    arguments, or an unknown word)."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordtop",
         description="Finite preorders, their topologies, and multi-utility representations.",
     )
-    named = [command for command in _COMMANDS if argv[:1] == [command[0]]]
-    # The usage line lists every command either way.  A metavar would also
-    # rename the argument in the errors that only a word naming no command
-    # meets, so it is set only with one subparser.
-    listed = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
-    for name, func, help_text, arguments in named or _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, help_text, arguments in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -297,8 +289,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe is met here, not at exit

@@ -17,9 +17,7 @@ from ordtop.representations import (
     PreorderScVerdict,
     RepVerdict,
     Sense,
-    _key_level_sets,
-    _lsc_rp_rows,
-    _rp_verdict,
+    _scott_family,
     preorder_semicontinuity,
 )
 from ordtop.topologies import Topology, scott_topology
@@ -44,16 +42,6 @@ def _violation(
 ) -> TheoremViolation:
     doc = instances.make_document(p, topology=t)
     return TheoremViolation(theorem_id, instances.serialize_instance(doc), params or {}, detail)
-
-
-def _scott_family(p: Preorder) -> tuple[list[list[int]], set[int], RepVerdict]:
-    """The family of :func:`~ordtop.representations.construct_finite_lsc_rp_multiutility`,
-    as the scott-necessity theorem checks it: its members' sublevel sets, each
-    distinct one of those, and the family's Richter-Peleg verdict; all
-    depend on ``p`` alone."""
-    levels = [_key_level_sets(row) for row in _lsc_rp_rows(p)]
-    belows = [below for below, _ in levels]
-    return belows, {m for below in belows for m in below}, _rp_verdict(levels, p)
 
 
 class _Inputs:

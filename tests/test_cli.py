@@ -419,37 +419,6 @@ def test_an_unreadable_topology_word_names_the_modes(monkeypatch, capsys, as_jso
         assert out == ""
 
 
-def run_main(capsys, argv):
-    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-# The top-level help, no arguments, words naming no command, an error that the
-# top-level parser reports for a command, each command's help, and one usage
-# error per command.
-PARSER_CASES = [
-    ["-h"], [], ["tpology"], ["--json"], ["theorems", "--all"],
-    *([name, "-h"] for name, *_ in cli._COMMANDS),
-    ["validate"], ["topology", "--json"], ["check-lsc", "vee.json", "--sense", "both"],
-    ["represent"], ["decide-rp", "--topology"], ["theorems", "--max-size", "0"],
-    ["mine", "--trials", "x"], ["export", "vee.json", "-o"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
-def test_the_parser_of_one_command_answers_as_the_full_parser(monkeypatch, capsys, argv):
-    answer = run_main(capsys, argv)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: full([]))
-    assert run_main(capsys, argv) == answer
-    assert answer[0] in (0, 2) and answer[1] + answer[2]
-
-
 @pytest.mark.parametrize("argv, error", [
     (["tpology"], "argument command: invalid choice: 'tpology' (choose from 'validate', "
                   "'topology', 'check-lsc', 'represent', 'decide-rp', 'theorems', 'mine', "
@@ -458,28 +427,15 @@ def test_the_parser_of_one_command_answers_as_the_full_parser(monkeypatch, capsy
     (["theorems", "--all"], "unrecognized arguments: --all"),
 ])
 def test_top_level_usage_errors_list_every_command(capsys, argv, error):
-    code, out, err = run_main(capsys, argv)
-    assert code == 2 and out == ""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2 and out == ""
     assert err.startswith("usage: ordtop [-h]")
     assert " ".join(err.split()[3:5]) == (
         "{validate,topology,check-lsc,represent,decide-rp,theorems,mine,export} ..."
     )
     assert err.endswith(f"\nordtop: error: {error}\n")
-
-
-def test_main_builds_only_the_subparser_its_command_names():
-    def commands(argv):
-        return list(next(
-            action.choices for action in cli._build_parser(argv)._actions
-            if action.dest == "command"
-        ))
-
-    names = [name for name, *_ in cli._COMMANDS]
-    assert len(names) == 8
-    for name in names:
-        assert commands([name, "--json"]) == [name]
-    for argv in ([], ["-h"], ["tpology", "theorems"], ["--json", "theorems"]):
-        assert commands(argv) == names
 
 
 def test_explicit_topology_is_validated_once_per_command(monkeypatch, capsys):

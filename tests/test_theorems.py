@@ -959,7 +959,7 @@ def test_mask_cores_match_object_route():
             ]
             exts = ot.enumerate_linear_extensions(p, 1000)
             ta = ot.alexandrov_topology(p)
-            belows, sublevels, _ = inputs._scott_family(p)
+            belows, sublevels, _ = representations._scott_family(p)
             members = [
                 representations.ValueFunction(p.elements, tuple(Fraction(v) for v in row))
                 for row in representations._lsc_rp_rows(p)
