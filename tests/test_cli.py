@@ -424,7 +424,6 @@ def test_an_unreadable_topology_word_names_the_modes(monkeypatch, capsys, as_jso
                   "'topology', 'check-lsc', 'represent', 'decide-rp', 'theorems', 'mine', "
                   "'export')"),
     ([], "the following arguments are required: command"),
-    (["theorems", "--all"], "unrecognized arguments: --all"),
 ])
 def test_top_level_usage_errors_list_every_command(capsys, argv, error):
     with pytest.raises(SystemExit) as exited:
